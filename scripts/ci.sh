@@ -36,6 +36,9 @@ python -m pytest -x -q
 echo "-- backend: python (pure-python reference path forced) --"
 REPRO_KERNELS=python python -m pytest -x -q
 
+echo "== perfbench harness tests (the repo benchmark every perf claim uses) =="
+python -m pytest -q perfbench/tests
+
 echo "== perf smoke + obs overhead (floors skipped) + bounded-memory ceiling =="
 python -m pytest -q benchmarks/test_perf_regression.py \
     benchmarks/test_shard_speedup.py benchmarks/test_stream_memory.py

@@ -145,7 +145,7 @@ def _check_group_pair(
     def stalled_ok(e: int, clock: VectorClock) -> bool:
         """The closure must not include ``e`` (nor, transitively, its
         successors — impossible for a closed set if ``e`` is out)."""
-        return not ts.of(e).leq(clock)
+        return not ts.leq_clock(e, clock)
 
     while pointers[0] < len(seqs[0]) and pointers[1] < len(seqs[1]):
         e1 = seqs[0][pointers[0]]
@@ -167,7 +167,7 @@ def _check_group_pair(
         for j in range(2):
             seq = seqs[j]
             i = pointers[j]
-            while i < len(seq) and ts.of(seq[i]).leq(t_clock):
+            while i < len(seq) and ts.leq_clock(seq[i], t_clock):
                 i += 1
             pointers[j] = i
     return hits
@@ -218,4 +218,4 @@ def is_sp_race(trace: Trace, e1: int, e2: int) -> bool:
     t0 = engine.pred_timestamp_of_events((e1, e2))
     t_clock = engine.compute(t0)
     ts = engine.timestamps
-    return not ts.of(e1).leq(t_clock) and not ts.of(e2).leq(t_clock)
+    return not ts.leq_clock(e1, t_clock) and not ts.leq_clock(e2, t_clock)

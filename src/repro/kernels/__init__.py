@@ -5,8 +5,6 @@ columns — exactly the layout an array library consumes in bulk.  This
 package holds NumPy ports of the inner loops, each behind the existing
 API of the subsystem it accelerates:
 
-- :mod:`repro.kernels.vc_np` — the 2-D ndarray clock pool over
-  :class:`~repro.vc.timestamps.TRFTimestamps` plus bulk join/compare.
 - :mod:`repro.kernels.index_np` — the ``TraceIndex`` O(N) derivation
   pass as column-at-a-time array passes (incremental ``extend()``
   included, so :class:`repro.stream.StreamSession` benefits too).

@@ -10,7 +10,8 @@ critical-section cursors — which makes the whole phase 2 a textbook
 lockstep batch: this kernel advances *all* patterns through the same
 pointer-walk rounds simultaneously over
 
-- ``TS``   — the ``[n_events, n_threads]`` clock-pool matrix,
+- ``TS``   — ``[n_rows, n_threads]``: the timestamps phase 2 joins
+  (acquire predecessors and releases), from the sparse TRF store,
 - flat per-(thread, lock) critical-section queues with per-pattern
   cursor/candidate state arrays of shape ``[n_patterns, n_queues]``,
 - padded ``[n_patterns, k, max_seq]`` sequence tables.
@@ -30,11 +31,11 @@ caller then runs the canonical python path.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import repro.kernels as kernels
 import repro.obs as obs
-from repro.kernels.vc_np import timestamp_matrix
 from repro.trace.events import OP_ACQUIRE
 
 #: pattern-state cells (patterns x queues) and sequence-table cells
@@ -47,7 +48,7 @@ _PREP_ATTR = "_np_offline_prep"
 
 class _Prep:
     """Per-trace immutable arrays shared by every batch (cached on the
-    TRFTimestamps instance, like the clock-pool matrix)."""
+    TRFTimestamps instance)."""
 
     def __init__(self, np, trace, timestamps) -> None:
         self.np = np
@@ -58,10 +59,9 @@ class _Prep:
         targs = np.frombuffer(targs, dtype=np.intc)
         self.slots = np.frombuffer(timestamps._slots, dtype=np.intc).astype(np.int64)
         self.vals = np.frombuffer(timestamps._vals, dtype=np.intc).astype(np.int64)
-        self.pred = np.frombuffer(index.thread_pred, dtype=np.intc).astype(np.int64)
+        pred = np.frombuffer(index.thread_pred, dtype=np.intc).astype(np.int64)
         match = np.frombuffer(index.match, dtype=np.intc).astype(np.int64)
         self.width = len(timestamps.universe)
-        self.ts = timestamp_matrix(np, timestamps)
         self.n_locks = n_locks = max(len(compiled.locks_tab), 1)
 
         acq = np.flatnonzero(ops == OP_ACQUIRE)
@@ -89,7 +89,6 @@ class _Prep:
         self.f_idx = entries
         self.f_val = self.vals[entries]
         rel = match[entries]
-        self.f_rel = rel
         self.f_relval = np.where(rel >= 0, self.vals[np.maximum(rel, 0)], 0)
         # Encoded values: one sorted array answering "how many entries
         # of queue q have acq_val <= bound" with a single searchsorted.
@@ -105,9 +104,37 @@ class _Prep:
         self.f_valp = f_valp
         self.nv0 = self.f_val[self.q_start[:-1]]
 
+        # The only timestamps phase 2 joins: acquire predecessors and
+        # releases, referenced by their row of ``ts``.  ``row_of`` ends
+        # in a -1 so that "no event" (-1) maps to "no row" (-1).
+        need = np.concatenate((pred[entries], rel))
+        need = np.unique(need[need >= 0])
+        row_of = np.full(ops.size + 1, -1, dtype=np.int64)
+        row_of[need] = np.arange(need.size)
+        self.ts = self._gather(np, timestamps, need)
+        self.pred_row = row_of[pred]
+        self.f_relrow = row_of[rel]
+
         # lock -> its queue ids / slot -> its queue ids, padded with -1.
         self.lock_queues = self._grouped(np, self.q_lock, n_locks, nq)
         self.slot_queues = self._grouped(np, self.q_slot, self.width, nq)
+
+    def _gather(self, np, timestamps, events):
+        """``[len(events), width]`` int64 timestamps of ``events``: their
+        anchor rows, zero-padded, with each own slot set to its value."""
+        anchors = np.frombuffer(timestamps._anchor, dtype=np.intc)[events]
+        uniq, inv = np.unique(anchors, return_inverse=True)
+        rows = [timestamps._rows[a] for a in uniq.tolist()]
+        lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        total = int(lens.sum())
+        flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
+                           count=total)
+        packed = np.zeros((len(rows), self.width), dtype=np.int64)
+        packed[np.repeat(np.arange(len(rows)), lens),
+               np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)] = flat
+        out = packed[inv]
+        out[np.arange(events.size), self.slots[events]] = self.vals[events]
+        return out
 
     @staticmethod
     def _grouped(np, keys, n_keys, nq):
@@ -196,7 +223,7 @@ def _check_chunk(np, prep, patterns, k):
     pad = seq_idx < 0
     seq_val = np.where(pad, prep.inf, prep.vals[safe])
     seq_slot = np.where(pad, 0, prep.slots[safe])
-    seq_pred = np.where(pad, -1, prep.pred[safe])
+    seq_pred = np.where(pad, -1, prep.pred_row[safe])
 
     nq = prep.n_queues
     width = prep.width
@@ -283,7 +310,7 @@ def _closure(np, prep, pat, slot, clock, nv, last_ai, last_rr, last_rv):
             prep.enc, bound + qm * prep.stride, side="right") - prep.q_start[qm]
         fi = prep.q_start[qm] + nc - 1
         last_ai[pm, qm] = prep.f_idx[fi]
-        last_rr[pm, qm] = prep.f_rel[fi]
+        last_rr[pm, qm] = prep.f_relrow[fi]
         last_rv[pm, qm] = prep.f_relval[fi]
         nv[pm, qm] = prep.f_valp[prep.q_startp[qm] + nc]
         # Contributions, per affected (pattern, lock): of the per-thread

@@ -41,7 +41,6 @@ class CSEntry:
     acq_idx: int
     slot: int
     acq_val: int
-    acq_ts: VectorClock
     rel_val: Optional[int]
     rel_ts: Optional[VectorClock]
 
@@ -87,7 +86,6 @@ class CSHistories:
         match = index.match
         slots = timestamps._slots
         vals = timestamps._vals
-        ts = timestamps._ts
         for i in range(len(ops)):
             if ops[i] != OP_ACQUIRE:
                 continue
@@ -96,9 +94,8 @@ class CSHistories:
                 acq_idx=i,
                 slot=slots[i],
                 acq_val=vals[i],
-                acq_ts=ts[i],
                 rel_val=vals[rel] if rel >= 0 else None,
-                rel_ts=ts[rel] if rel >= 0 else None,
+                rel_ts=timestamps.of(rel) if rel >= 0 else None,
             )
             key = (tids[i], targs[i])
             if key not in self._queues:

@@ -190,40 +190,13 @@ class VectorClock:
     def join_many(self, clocks: Iterable["VectorClock"]) -> bool:
         """In-place ``⊔`` over a batch; returns True if self changed.
 
-        Equivalent to folding :meth:`join_with` left to right.  With
-        the numpy kernel backend (:mod:`repro.kernels`) a large enough
-        batch collapses to one matrix ``max`` followed by a single
-        :meth:`join_with` of the result — the same fix-point by
-        commutativity/associativity of ``⊔``.  Both paths go through
-        ``self.join_with``, so the patch-on-enable telemetry wrappers
-        of :mod:`repro.obs` observe every bulk join too (the numpy
-        path counts one merged join instead of ``len(clocks)``), and
-        enabling telemetry never downgrades the dispatch to python.
+        Folds :meth:`join_with` left to right, so the patch-on-enable
+        telemetry wrappers of :mod:`repro.obs` observe every join.
         """
-        import repro.kernels as kernels
-
-        batch = [c for c in clocks if c._v is not self._v]
-        if not batch:
-            return False
-        np = kernels.numpy_or_none()
-        if np is not None and len(batch) >= 8:
-            from repro.kernels.vc_np import join_values
-
-            joined = VectorClock(join_values(np, [c._v for c in batch]))
-            kernels.record_dispatch("vc_join_many", "numpy",
-                                    events=len(batch))
-            return self.join_with(joined)
         changed = False
-        for c in batch:
+        for c in clocks:
             changed = self.join_with(c) or changed
         return changed
-
-    @staticmethod
-    def join_all(clocks: Iterable["VectorClock"], size: int) -> "VectorClock":
-        """Pointwise max over a collection (``⨆`` in the paper)."""
-        out = VectorClock(size)
-        out.join_many(clocks)
-        return out
 
     # -- epochs --------------------------------------------------------------
 

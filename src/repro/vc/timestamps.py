@@ -9,20 +9,29 @@ the paper's artifact also tracks).  The timestamp of an event ``e`` is
 
 Computed for all events with a single O(N·T) vector-clock pass.
 
-Every stored timestamp is a *canonical snapshot* (taken right after the
-owning thread's tick), so membership of an event in a closure timestamp
-is the O(1) epoch test :meth:`TRFTimestamps.leq_clock` — the full
-clocks are kept only for joins.  Snapshots are copy-on-write, so the
-pass performs one list copy per event, amortized, rather than one per
-snapshot consumer.
+Storage is sparse: every event keeps its *epoch* ``(slot, val)`` — its
+thread's slot and own component — and the id of an *anchor* row: its
+thread's full clock (trailing zeros dropped) at the thread's first
+event or at the last event where an incoming edge grew it.  Between
+anchors only the own component moves, so ``TS(e)`` is exactly the
+anchor row with its own slot set to ``val(e)``.
+
+Every timestamp is a *canonical snapshot* (taken right after the owning
+thread's tick), so membership of an event in a closure timestamp is the
+O(1) epoch test :meth:`TRFTimestamps.leq_clock`.  The pass applies the
+same test to its own edges: one whose source epoch the target clock
+already knows is skipped, a reads-from edge whose source anchor it
+knows raises one slot, and only the rest pay a join.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 from typing import Dict, List, Optional
 
-from repro.trace.events import OP_FORK, OP_JOIN, OP_READ, OP_WRITE
+import repro.obs as obs
+from repro.trace.events import OP_FORK, OP_JOIN, OP_READ
 from repro.trace.trace import Trace, as_trace
 from repro.vc.clock import ThreadUniverse, VectorClock
 
@@ -47,13 +56,17 @@ class TRFTimestamps:
     def __init__(self, trace: Trace) -> None:
         self.trace = trace = as_trace(trace)
         self.universe = ThreadUniverse(trace.threads)
-        self._ts: List[VectorClock] = []
         # Per-event epoch of the timestamp: its thread slot and its own
-        # component value (== per-thread position + 1).
+        # component value (== per-thread position + 1), plus the id of
+        # the anchor row holding its other components.
         self._slots = array("i")
         self._vals = array("i")
+        self._anchor = array("i")
+        #: anchor id -> the owning thread's clock at that point, trimmed
+        self._rows: List[List[int]] = []
         TRFTimestamps.computations += 1
-        self._compute()
+        with obs.span("vc.trf", cat="vc"):
+            self._compute()
 
     def _compute(self) -> None:
         """One pass over the compiled int columns — no Event objects."""
@@ -64,51 +77,98 @@ class TRFTimestamps:
         rf = index.rf
         n_threads = len(self.universe)
         slot_of = self.universe.slot
-        # tid -> slot / clock; only acting threads have clocks (a fork
-        # or join naming a thread that never runs is a no-op).
+        # tid -> slot / live clock; only acting threads have clocks (a
+        # fork or join naming a thread that never runs is a no-op).
+        # Live clocks tick in place; ``width`` is each clock's length
+        # without trailing zeros and ``cur`` its current anchor, -1
+        # when the thread's next event must store a new one.
         n_tids = len(compiled.threads_tab)
-        tid_slot = array("i", [-1]) * n_tids
-        clocks: List[Optional[VectorClock]] = [None] * n_tids
+        tid_slot = [-1] * n_tids
+        clocks: List[Optional[List[int]]] = [None] * n_tids
+        width = [0] * n_tids
+        cur = [-1] * n_tids
         thread_names = compiled.threads_tab.names
         for tid in index.thread_order:
             tid_slot[tid] = slot_of(thread_names[tid])
-            clocks[tid] = VectorClock.bottom(n_threads)
-        last_write_ts: List[Optional[VectorClock]] = [None] * len(compiled.vars_tab)
-        ts_append = self._ts.append
-        slots_append = self._slots.append
-        vals_append = self._vals.append
+            clocks[tid] = [0] * n_threads
+        rows, slots, vals, anchor = self._rows, self._slots, self._vals, self._anchor
+        slots_append = slots.append
+        vals_append = vals.append
+        anchor_append = anchor.append
+        joins = skips = 0
 
         for i in range(len(ops)):
             op = ops[i]
             tid = tids[i]
             c = clocks[tid]
-            slot = tid_slot[tid]
+            a = cur[tid]
             if op == OP_READ:
-                if rf[i] >= 0:
-                    c.join_with(last_write_ts[targs[i]])
+                w = rf[i]
+                if w >= 0:
+                    ws = slots[w]
+                    if c[ws] >= vals[w]:
+                        skips += 1
+                    else:
+                        row = rows[anchor[w]]
+                        if c[ws] < row[ws]:     # unknown anchor: join its width
+                            _join_live(c, row, len(row))
+                            if len(row) > width[tid]:
+                                width[tid] = len(row)
+                        c[ws] = vals[w]
+                        joins += 1
+                        a = -1
             elif op == OP_JOIN:
-                # fork/join targets are always interned in threads_tab;
-                # clocks[tid] is None only for never-acting threads.
-                child_clock = clocks[targs[i]]
-                if child_clock is not None:
-                    c.join_with(child_clock)
+                child = targs[i]
+                cc = clocks[child]
+                if cc is not None:
+                    cs = tid_slot[child]
+                    # The epoch test needs a canonical child clock: one
+                    # not grown (by a late fork) since its last event.
+                    if cur[child] >= 0 and c[cs] >= cc[cs]:
+                        skips += 1
+                    elif _join_live(c, cc, width[child]):
+                        joins += 1
+                        if width[child] > width[tid]:
+                            width[tid] = width[child]
+                        a = -1
+            slot = tid_slot[tid]
             # Tick after incorporating predecessors so the timestamp is
             # inclusive of the event itself.
-            c.tick(slot)
-            snapshot = c.snapshot()
-            ts_append(snapshot)
+            v = c[slot] + 1
+            c[slot] = v
+            if a < 0:
+                if slot >= width[tid]:
+                    width[tid] = slot + 1
+                a = cur[tid] = len(rows)
+                rows.append(c[:width[tid]])
             slots_append(slot)
-            vals_append(c[slot])
-            if op == OP_WRITE:
-                last_write_ts[targs[i]] = snapshot
-            elif op == OP_FORK:
-                child_clock = clocks[targs[i]]
-                if child_clock is not None:
-                    child_clock.join_with(snapshot)
+            vals_append(v)
+            anchor_append(a)
+            if op == OP_FORK:
+                child = targs[i]
+                cc = clocks[child]
+                if cc is not None:
+                    if cc[slot] >= v:
+                        skips += 1
+                    elif _join_live(cc, c, width[tid]):
+                        joins += 1
+                        if width[tid] > width[child]:
+                            width[child] = width[tid]
+                        cur[child] = -1
+        obs.count("vc.trf.anchors", len(rows))
+        obs.count("vc.trf.joins", joins)
+        obs.count("vc.trf.join_skips", skips)
 
     def of(self, event_idx: int) -> VectorClock:
-        """The (inclusive) TRF timestamp of the event at ``event_idx``."""
-        return self._ts[event_idx]
+        """The (inclusive) TRF timestamp of the event at ``event_idx``.
+
+        Built on demand from the event's anchor row: a fresh clock the
+        caller may mutate, with trailing zero components omitted (read
+        components with :meth:`VectorClock.component`).
+        """
+        out = VectorClock(self._rows[self._anchor[event_idx]])
+        out._v[self._slots[event_idx]] = self._vals[event_idx]
+        return out
 
     def epoch(self, event_idx: int):
         """``(slot, value)`` epoch of the event's timestamp."""
@@ -133,45 +193,49 @@ class TRFTimestamps:
         pred = self.trace.index.thread_pred[event_idx]
         if pred < 0:
             return VectorClock.bottom(len(self.universe))
-        return self._ts[pred]
+        return self.of(pred)
 
     def leq(self, a: int, b: int) -> bool:
-        """``a <=TRF b`` via timestamp comparison (O(1) epoch test)."""
-        return self.leq_clock(a, self._ts[b])
+        """``a <=TRF b``: one component of ``TS(b)`` against ``a``'s epoch."""
+        slot = self._slots[a]
+        if slot == self._slots[b]:
+            return self._vals[a] <= self._vals[b]
+        row = self._rows[self._anchor[b]]
+        return slot < len(row) and self._vals[a] <= row[slot]
 
     # -- checkpoint / restore ------------------------------------------------
 
     #: v2 added payload integrity: explicit byte length + sha256, so a
     #: bit-flipped or truncated blob is a detected ``ValueError`` (and
-    #: a recompute) rather than silently corrupt timestamps.  v1 blobs
-    #: (no checksum) are rejected as stale.
-    _CKPT_MAGIC = "repro-trf-v2"
-    _CKPT_STALE = ("repro-trf-v1",)
+    #: a recompute) rather than silently corrupt timestamps.  v3 stores
+    #: the sparse anchor rows instead of one clock per event.  v1 and
+    #: v2 blobs are rejected as stale.
+    _CKPT_MAGIC = "repro-trf-v3"
+    _CKPT_STALE = ("repro-trf-v1", "repro-trf-v2")
 
     def checkpoint(self) -> bytes:
         """Serialize the derived timestamps (not the trace).
 
-        One JSON header line (format marker, thread universe, event
-        count, payload length + sha256) followed by the raw bytes of
-        the epoch columns, the per-event clock lengths, and the
-        flattened clock components — deterministic for a given trace,
-        cheap to reload with ``array.frombytes``.
+        One JSON header line (format marker, thread universe, event and
+        anchor counts, payload length + sha256) followed by the raw
+        bytes of the epoch and anchor-id columns, the anchor row
+        lengths, and the flattened anchor rows — deterministic for a
+        given trace, cheap to reload with ``array.frombytes``.
         """
         import hashlib
         import json
 
-        lens = array("i", (len(c._v) for c in self._ts))
-        flat = array("i")
-        for c in self._ts:
-            flat.extend(c._v)
+        lens = array("i", map(len, self._rows))
+        flat = array("i", chain.from_iterable(self._rows))
         payload = b"".join((
             self._slots.tobytes(), self._vals.tobytes(),
-            lens.tobytes(), flat.tobytes(),
+            self._anchor.tobytes(), lens.tobytes(), flat.tobytes(),
         ))
         header = {
             "format": self._CKPT_MAGIC,
             "threads": list(self.universe.threads()),
-            "n": len(self._ts),
+            "n": len(self._slots),
+            "anchors": len(self._rows),
             "itemsize": array("i").itemsize,
             "payload_len": len(payload),
             "payload_sha256": hashlib.sha256(payload).hexdigest(),
@@ -220,32 +284,33 @@ class TRFTimestamps:
         if hashlib.sha256(rest).hexdigest() != header.get("payload_sha256"):
             raise ValueError("TRF checkpoint payload checksum mismatch "
                              "(corrupt blob)")
-        n = header["n"]
+        n, m = header["n"], header["anchors"]
         if n != len(trace) or header["threads"] != list(trace.threads):
             raise ValueError("TRF checkpoint is for a different trace")
-        size = n * header["itemsize"]
+        cols = array("i")
+        cols.frombytes(rest)
         out = cls.__new__(cls)
         out.trace = trace
         out.universe = ThreadUniverse(header["threads"])
-        out._slots = array("i")
-        out._slots.frombytes(rest[:size])
-        out._vals = array("i")
-        out._vals.frombytes(rest[size:2 * size])
-        lens = array("i")
-        lens.frombytes(rest[2 * size:3 * size])
-        flat = array("i")
-        flat.frombytes(rest[3 * size:])
-        values = flat.tolist()
-        ts: List[VectorClock] = []
+        out._slots, out._vals, out._anchor = (
+            cols[k * n:(k + 1) * n] for k in range(3))
+        values = cols[3 * n + m:].tolist()
+        out._rows = rows = []
         off = 0
-        for length in lens:
-            vc = VectorClock.__new__(VectorClock)
-            vc._v = values[off:off + length]
-            vc._shared = True  # stored snapshots are never mutated in place
-            ts.append(vc)
+        for length in cols[3 * n:3 * n + m]:
+            rows.append(values[off:off + length])
             off += length
-        out._ts = ts
         return out
+
+
+def _join_live(dst: List[int], src: List[int], n: int) -> bool:
+    """``dst ⊔= src[:n]`` on clock lists; True if ``dst`` grew."""
+    grew = False
+    for k in range(n):
+        if src[k] > dst[k]:
+            dst[k] = src[k]
+            grew = True
+    return grew
 
 
 def compute_trf_timestamps(trace: Trace) -> TRFTimestamps:

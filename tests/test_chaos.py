@@ -146,9 +146,10 @@ class TestChaosBitIdentity:
             TRFTimestamps.restore(trace, bytes(flipped))
         with pytest.raises(ValueError, match="truncated|header says"):
             TRFTimestamps.restore(trace, blob[: len(blob) // 2])
-        stale = b'{"format": "repro-trf-v1"}\n' + b"x"
-        with pytest.raises(ValueError, match="stale TRF checkpoint"):
-            TRFTimestamps.restore(trace, stale)
+        for version in (b"repro-trf-v1", b"repro-trf-v2"):
+            stale = b'{"format": "%s"}\n' % version + b"x"
+            with pytest.raises(ValueError, match="stale TRF checkpoint"):
+                TRFTimestamps.restore(trace, stale)
         # the recovery path — a fresh derivation — is bit-identical
         assert compute_trf_timestamps(trace).checkpoint() == blob
 

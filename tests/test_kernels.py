@@ -392,15 +392,3 @@ class TestJoinMany:
             changed_many = b.join_many(clocks)
             assert a.values() == b.values()
             assert changed_fold == changed_many
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
-    def test_large_batch_dispatches_numpy(self):
-        from repro.vc.clock import VectorClock
-
-        before = kernels.counters().get("kernels.vc_join_many.numpy", 0)
-        out = VectorClock(4)
-        with kernels.use("numpy"):
-            out.join_many([VectorClock([i, 1]) for i in range(20)])
-        assert out.values() == (19, 1, 0, 0)
-        after = kernels.counters().get("kernels.vc_join_many.numpy", 0)
-        assert after > before

@@ -442,10 +442,38 @@ class TestCheckpointVersioning:
 
         spine, strace = self._spine_on_disk(tmp_path, seed=13)
         blob = _component_engine(spine, strace).checkpoint()
-        with open(spine.path + ".ckpt", "wb") as fh:
-            fh.write(b'{"format": "repro-trf-v1"}\n' + b"old payload")
+        for stale in (b"repro-trf-v1", b"repro-trf-v2"):
+            caplog.clear()
+            with open(spine.path + ".ckpt", "wb") as fh:
+                fh.write(b'{"format": "%s"}\n' % stale + b"old payload")
+            with caplog.at_level(logging.WARNING, logger="repro.exp.shard"):
+                engine = _component_engine(spine, strace)
+            assert "discarding unusable engine checkpoint" in caplog.text
+            assert "stale TRF checkpoint" in caplog.text
+            assert engine.checkpoint() == blob
+
+    def test_shard_run_recomputes_v2_ckpt_and_matches_serial(
+            self, monkeypatch, caplog):
+        """A v2 (dense) checkpoint found beside a spine mid-run is
+        discarded and recomputed; the sharded result still equals the
+        serial one."""
+        import logging
+
+        import repro.exp.shard as shard_mod
+
+        real_save = shard_mod.save_spine
+
+        def save_with_v2_ckpt(spine, path):
+            real_save(spine, path)
+            with open(path + ".ckpt", "wb") as fh:
+                fh.write(b'{"format": "repro-trf-v2"}\n' + b"dense payload")
+
+        monkeypatch.setattr(shard_mod, "save_spine", save_with_v2_ckpt)
+        trace = load_trace(os.path.join(os.path.dirname(__file__), "..",
+                                        "corpus", "dining_phil5.std"))
         with caplog.at_level(logging.WARNING, logger="repro.exp.shard"):
-            engine = _component_engine(spine, strace)
-        assert "discarding unusable engine checkpoint" in caplog.text
-        assert "stale TRF checkpoint" in caplog.text
-        assert engine.checkpoint() == blob
+            sharded = spd_offline_sharded(trace, jobs=1)
+        assert "stale TRF checkpoint version 'repro-trf-v2'" in caplog.text
+        serial = spd_offline(trace)
+        assert serial.num_deadlocks > 0
+        assert result_key(sharded) == result_key(serial)
