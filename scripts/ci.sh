@@ -36,6 +36,14 @@ python -m pytest -x -q
 echo "-- backend: python (pure-python reference path forced) --"
 REPRO_KERNELS=python python -m pytest -x -q
 
+echo "== examples (each under both kernel backends; any non-zero exit fails) =="
+for example in examples/*.py; do
+    for kernels in auto python; do
+        echo "-- $example ($kernels) --"
+        REPRO_KERNELS=$kernels python "$example" > /dev/null
+    done
+done
+
 echo "== perfbench harness tests (the repo benchmark every perf claim uses) =="
 python -m pytest -q perfbench/tests
 

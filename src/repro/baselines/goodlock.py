@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import repro.kernels as kernels
 from repro.core.patterns import DeadlockPattern, is_deadlock_pattern
 from repro.graph.digraph import DiGraph
 from repro.graph.johnson import simple_cycles
@@ -50,38 +49,27 @@ def goodlock(
     """
     trace = as_trace(trace)
     start = time.perf_counter()
-    graph: DiGraph
-    edge_events: Dict[Tuple[int, int], List[int]]
-    built = None
-    if kernels.backend() == "numpy":
-        from repro.kernels.baselines_np import build_lock_graph_np
-
-        built = build_lock_graph_np(trace)
-    if built is not None:
-        graph, edge_events = built
-    else:
-        index = trace.index
-        ops, _, targs = trace.compiled.columns()
-        held_id = index.held_id
-        held_offsets = index.held_offsets
-        held_lengths = index.held_lengths
-        held_pool = index.held_pool
-        kernels.record_dispatch("goodlock", "python", events=len(ops))
-        # Lock-order graph over interned lock ids;
-        # edge (l1, l2) -> acquire events of l2 performed while holding l1
-        edge_events = {}
-        graph = DiGraph()
-        for idx in range(len(ops)):
-            if ops[idx] != OP_ACQUIRE:
+    index = trace.index
+    ops, _, targs = trace.compiled.columns()
+    held_id = index.held_id
+    held_offsets = index.held_offsets
+    held_lengths = index.held_lengths
+    held_pool = index.held_pool
+    # Lock-order graph over interned lock ids;
+    # edge (l1, l2) -> acquire events of l2 performed while holding l1
+    edge_events: Dict[Tuple[int, int], List[int]] = {}
+    graph: DiGraph = DiGraph()
+    for idx in range(len(ops)):
+        if ops[idx] != OP_ACQUIRE:
+            continue
+        target = targs[idx]
+        hid = held_id[idx]
+        off = held_offsets[hid]
+        for held in held_pool[off:off + held_lengths[hid]]:
+            if held == target:
                 continue
-            target = targs[idx]
-            hid = held_id[idx]
-            off = held_offsets[hid]
-            for held in held_pool[off:off + held_lengths[hid]]:
-                if held == target:
-                    continue
-                graph.add_edge(held, target)
-                edge_events.setdefault((held, target), []).append(idx)
+            graph.add_edge(held, target)
+            edge_events.setdefault((held, target), []).append(idx)
 
     result = GoodlockResult()
     for cycle in simple_cycles(graph, max_length=max_size, max_cycles=max_cycles):

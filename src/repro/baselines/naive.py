@@ -11,20 +11,15 @@ the abstract-pattern speedup.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-import repro.kernels as kernels
 from repro.core.alg import abstract_deadlock_patterns
 from repro.core.closure import SPClosureEngine
 from repro.core.patterns import DeadlockReport
 from repro.trace.trace import Trace, as_trace
 from repro.vc.timestamps import TRFTimestamps
-
-#: instantiations checked per numpy batch (bounds witness-scan latency)
-_NAIVE_CHUNK = 256
 
 
 @dataclass
@@ -63,64 +58,20 @@ def naive_sp_detector(
     result = NaiveResult()
     timestamps = TRFTimestamps(trace)
     _, abstracts = abstract_deadlock_patterns(trace, max_size=max_size)
-    use_np = kernels.backend() == "numpy"
-
-    def check_one(pattern) -> bool:
-        engine = SPClosureEngine(trace, timestamps)  # fresh cursors
-        t0 = engine.pred_timestamp_of_events(pattern.events)
-        t_clock = engine.compute(t0)
-        return all(not timestamps.leq_clock(e, t_clock) for e in pattern.events)
-
-    # A concrete pattern is a batch of singleton sequences: the offline
-    # kernel's sequence check degenerates to exactly the all-outside
-    # test above, so instantiations can be checked a chunk at a time.
-    # Counting stays bit-faithful to the python loop: hits mid-chunk
-    # discard the over-computed tail, and the max_patterns cap bounds
-    # the chunk size up front.
     for abstract in abstracts:
-        it = iter(abstract.instantiations())
-        while True:
-            remaining = (None if max_patterns is None
-                         else max_patterns - result.patterns_checked)
-            if remaining is not None and remaining <= 0:
-                if next(it, None) is None:
-                    break
+        for pattern in abstract.instantiations():
+            if max_patterns is not None and result.patterns_checked >= max_patterns:
                 result.elapsed = time.perf_counter() - start
-                kernels.record_dispatch(
-                    "naive", "numpy" if use_np else "python",
-                    events=result.patterns_checked)
                 return result
-            size = _NAIVE_CHUNK if remaining is None else min(
-                _NAIVE_CHUNK, remaining)
-            chunk = list(itertools.islice(it, size))
-            if not chunk:
-                break
-            witnesses = None
-            if use_np:
-                from repro.kernels.offline_np import check_patterns_batch
-
-                witnesses = check_patterns_batch(
-                    trace,
-                    [tuple((e,) for e in p.events) for p in chunk],
-                    timestamps,
+            result.patterns_checked += 1
+            engine = SPClosureEngine(trace, timestamps)  # fresh cursors
+            t0 = engine.pred_timestamp_of_events(pattern.events)
+            t_clock = engine.compute(t0)
+            if all(not timestamps.leq_clock(e, t_clock) for e in pattern.events):
+                result.reports.append(
+                    DeadlockReport.from_pattern(trace, pattern, abstract)
                 )
-                if witnesses is None:
-                    use_np = False
-            if witnesses is None:
-                witnesses = [check_one(p) or None for p in chunk]
-            hit = False
-            for pattern, witness in zip(chunk, witnesses):
-                result.patterns_checked += 1
-                if witness is not None:
-                    result.reports.append(
-                        DeadlockReport.from_pattern(trace, pattern, abstract)
-                    )
-                    if first_hit_per_abstract:
-                        hit = True
-                        break
-            if hit:
-                break
-    kernels.record_dispatch("naive", "numpy" if use_np else "python",
-                            events=result.patterns_checked)
+                if first_hit_per_abstract:
+                    break
     result.elapsed = time.perf_counter() - start
     return result

@@ -839,19 +839,18 @@ class SPDOnline(InterningDetectorMixin):
 
                 out._np = NpOnlineState.from_history(out._np.np,
                                                      out.cs_history)
-        # Closures checkpoint as canonical clocks (current blobs) or as
-        # pickled objects with an ``_owner`` backref to a shadow copy of
-        # the detector (legacy blobs).  Rebuild the former under the
-        # active kernel backend; rebind the latter so they track the
-        # live detector rather than the frozen shadow.
+        # Closures checkpoint as canonical clocks; rebuild them under the
+        # active kernel backend.
         closures = {}
-        for ctx, closure in out._closures.items():
-            if isinstance(closure, _OnlineClosure):
-                closure._owner = out
-            else:
-                values = closure
-                closure = out._new_closure()
-                closure.seed_values(values)
+        for ctx, values in out._closures.items():
+            if not isinstance(values, list):
+                raise ValueError(
+                    f"stale {kind} checkpoint: its closures are pickled "
+                    "objects, not canonical clocks; re-feed the stream "
+                    "instead"
+                )
+            closure = out._new_closure()
+            closure.seed_values(values)
             closures[ctx] = closure
         out._closures = closures
         out._mb = [] if out._np is not None else None

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-import repro.kernels as kernels
 from repro.core.spd_online import SPDOnline, _AcqEntry, _OnlineClosure
 from repro.vc.clock import VectorClock
 
@@ -103,16 +102,6 @@ class SPDOnlineK(SPDOnline):
         self._contexts: List[_Context] = []
         self._contexts_of_sig: Dict[Signature, List[_Context]] = {}
         self.k_reports: List[OnlineKReport] = []
-        # Flat-column mirror of the signature queues: resolves every
-        # free coordinate's swallow sweep with one searchsorted.
-        self._sigk = None
-        if self._np is not None:
-            from repro.kernels.spdk_np import NpSigState
-
-            self._sigk = NpSigState(self._np.np)
-            kernels.record_dispatch("spdk", "numpy")
-        else:
-            kernels.record_dispatch("spdk", "python")
 
     # -- graph maintenance -------------------------------------------------
 
@@ -189,8 +178,6 @@ class SPDOnlineK(SPDOnline):
         # the any-size entry from the same data.
         last = self._acq_seq[(tid, lid, next(iter(held_before)))][-1]
         entries.append(last)
-        if self._sigk is not None:
-            self._sigk.append(sig, last.ts_val)
         for ctx in self._contexts_of_sig.get(sig, ()):
             self._check_context(ctx, sig, last)
 
@@ -201,80 +188,51 @@ class SPDOnlineK(SPDOnline):
             return
         pin = ctx.signatures.index(sig)
         k = len(ctx.signatures)
-        sigk = self._sigk
-        swept = 0
-        try:
-            ctx.closure.join_seed(new_entry.pred_ts)
-            while True:
-                candidate: List[Optional[_AcqEntry]] = [None] * k
-                candidate[pin] = new_entry
-                for j in range(k):
-                    if j == pin:
-                        continue
-                    queue = self._sig_entries.get(ctx.signatures[j], [])
-                    if ctx.cursors[j] >= len(queue):
-                        return  # some coordinate has no candidate yet
-                    candidate[j] = queue[ctx.cursors[j]]
-                seed = None
-                for entry in candidate:
-                    if seed is None:
-                        seed = entry.pred_ts.copy()
-                    else:
-                        seed.join_with(entry.pred_ts)
-                t_clock = ctx.closure.compute(seed)
-                swallowed = False
-                if sigk is not None:
-                    # One searchsorted sweeps every free coordinate: a
-                    # signature queue holds one thread's strictly
-                    # increasing acquire values, so the python walk
-                    # stops exactly at max(cursor, bisect(vals, bound)).
-                    free = [j for j in range(k) if j != pin]
-                    new = sigk.sweep(
-                        [ctx.signatures[j] for j in free],
-                        [ctx.cursors[j] for j in free],
-                        [t_clock.component(ctx.signatures[j][0])
-                         for j in free],
-                    )
-                    for j, nc in zip(free, new):
-                        if nc != ctx.cursors[j]:
-                            swept += nc - ctx.cursors[j]
-                            ctx.cursors[j] = nc
-                            swallowed = True
+        ctx.closure.join_seed(new_entry.pred_ts)
+        while True:
+            candidate: List[Optional[_AcqEntry]] = [None] * k
+            candidate[pin] = new_entry
+            for j in range(k):
+                if j == pin:
+                    continue
+                queue = self._sig_entries.get(ctx.signatures[j], [])
+                if ctx.cursors[j] >= len(queue):
+                    return  # some coordinate has no candidate yet
+                candidate[j] = queue[ctx.cursors[j]]
+            seed = None
+            for entry in candidate:
+                if seed is None:
+                    seed = entry.pred_ts.copy()
                 else:
-                    for j in range(k):
-                        if j == pin:
-                            continue
-                        queue = self._sig_entries.get(ctx.signatures[j], [])
-                        i = ctx.cursors[j]
-                        # Epoch test for closure membership of each
-                        # queued acquire.
-                        while i < len(queue) and (
-                            queue[i].ts_val <= t_clock.component(queue[i].tid)
-                        ):
-                            i += 1
-                        if i != ctx.cursors[j]:
-                            swept += i - ctx.cursors[j]
-                            swallowed = True
-                        ctx.cursors[j] = i
-                if not swallowed:
-                    if all(e.ts_val > t_clock.component(e.tid)
-                           for e in candidate):
-                        ctx.reported = True
-                        self.k_reports.append(
-                            OnlineKReport(
-                                events=tuple(e.idx for e in candidate),
-                                locations=tuple(e.loc for e in candidate),
-                                signatures=tuple(
-                                    self._named_signature(s)
-                                    for s in ctx.signatures
-                                ),
-                            )
+                    seed.join_with(entry.pred_ts)
+            t_clock = ctx.closure.compute(seed)
+            swallowed = False
+            for j in range(k):
+                if j == pin:
+                    continue
+                queue = self._sig_entries.get(ctx.signatures[j], [])
+                i = ctx.cursors[j]
+                # Epoch test for closure membership of each queued acquire.
+                while i < len(queue) and (
+                    queue[i].ts_val <= t_clock.component(queue[i].tid)
+                ):
+                    i += 1
+                if i != ctx.cursors[j]:
+                    swallowed = True
+                ctx.cursors[j] = i
+            if not swallowed:
+                if all(e.ts_val > t_clock.component(e.tid) for e in candidate):
+                    ctx.reported = True
+                    self.k_reports.append(
+                        OnlineKReport(
+                            events=tuple(e.idx for e in candidate),
+                            locations=tuple(e.loc for e in candidate),
+                            signatures=tuple(
+                                self._named_signature(s) for s in ctx.signatures
+                            ),
                         )
-                    return
-        finally:
-            kernels.record_dispatch(
-                "spdk", "numpy" if sigk is not None else "python",
-                events=swept)
+                    )
+                return
 
     # -- checkpoint / restore hooks ----------------------------------------
 
@@ -287,7 +245,6 @@ class SPDOnlineK(SPDOnline):
         canonical clock, the reported flag — is backend-agnostic and
         rebuilds bit-identically under either kernel backend.
         """
-        state.pop("_sigk", None)
         state.pop("_contexts_of_sig", None)
         state["_contexts"] = [
             (ctx.signatures, list(ctx.cursors),
@@ -296,35 +253,26 @@ class SPDOnlineK(SPDOnline):
         ]
 
     def _restore_extra(self) -> None:
-        self._sigk = None
-        if self._np is not None:
-            from repro.kernels.spdk_np import NpSigState
-
-            self._sigk = NpSigState.from_entries(self._np.np,
-                                                 self._sig_entries)
         contexts: List[_Context] = []
-        legacy = False
+        index: Dict[Signature, List[_Context]] = {}
         for item in self._contexts:
-            if isinstance(item, _Context):
-                # Legacy blob: pickled context objects over a frozen
-                # shadow detector; rebind the closures to the live one.
-                legacy = True
-                item.closure._owner = self
-                contexts.append(item)
-            else:
-                signatures, cursors, clock_values, reported = item
-                closure = self._new_closure()
-                closure.seed_values(clock_values)
-                contexts.append(_Context(signatures=signatures,
-                                         cursors=cursors, closure=closure,
-                                         reported=reported))
+            if not isinstance(item, tuple):
+                raise ValueError(
+                    f"stale {type(self).__name__} checkpoint: its contexts "
+                    "are pickled objects, not the canonical (signatures, "
+                    "cursors, clock, reported) form; re-feed the stream "
+                    "instead"
+                )
+            signatures, cursors, clock_values, reported = item
+            closure = self._new_closure()
+            closure.seed_values(clock_values)
+            ctx = _Context(signatures=signatures, cursors=cursors,
+                           closure=closure, reported=reported)
+            contexts.append(ctx)
+            for sig in signatures:
+                index.setdefault(sig, []).append(ctx)
         self._contexts = contexts
-        if not legacy:
-            index: Dict[Signature, List[_Context]] = {}
-            for ctx in contexts:
-                for sig in ctx.signatures:
-                    index.setdefault(sig, []).append(ctx)
-            self._contexts_of_sig = index
+        self._contexts_of_sig = index
 
     def _named_signature(self, sig: Signature) -> NamedSignature:
         tid, lid, held = sig

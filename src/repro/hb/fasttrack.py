@@ -32,7 +32,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-import repro.kernels as kernels
 from repro.trace.compiled import CompiledTrace, InterningDetectorMixin
 from repro.trace.events import (
     OP_ACQUIRE,
@@ -274,14 +273,6 @@ class FastTrack(InterningDetectorMixin):
         step takes the *global* event index (``base + i``) instead of a
         location, so race reports name the same events a batch run
         over the full trace would."""
-        if kernels.backend() == "numpy":
-            from repro.kernels.fasttrack_np import feed_batch_runs
-
-            if feed_batch_runs(self, compiled, lo, hi, base,
-                               kernels.numpy_or_none()):
-                return
-            kernels.record_dispatch("fasttrack_runs", "python",
-                                    events=hi - lo)
         if self._sync_tables(compiled):
             step_coded = self._step_coded
             ops, tids, targets = compiled.columns()

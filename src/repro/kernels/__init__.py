@@ -8,12 +8,16 @@ API of the subsystem it accelerates:
 - :mod:`repro.kernels.index_np` — the ``TraceIndex`` O(N) derivation
   pass as column-at-a-time array passes (incremental ``extend()``
   included, so :class:`repro.stream.StreamSession` benefits too).
+- :mod:`repro.kernels.alg_np` — abstract-lock-graph edge construction
+  as a sorted join plus held-set bitmasks.
 - :mod:`repro.kernels.offline_np` — Algorithm 2 (``CheckAbsDdlck``)
   batched across *all* abstract patterns in lockstep.
 - :mod:`repro.kernels.online_np` — the per-context Algorithm 1 closure
-  of SPDOnline over flat row arrays.
-- :mod:`repro.kernels.fasttrack_np` — FastTrack stepping batched over
-  runs of same-kind events.
+  of SPDOnline (and of SPDOnlineK's contexts) over flat row arrays.
+
+FastTrack, Goodlock, the naive checker and SPDOnlineK's signature
+sweep have python loops only; under numpy they still run on the
+index, ALG, offline and online kernels above.
 
 Backend selection
 -----------------

@@ -17,7 +17,10 @@ acquire/release/request the lock table, fork/join the thread table.
 
 :func:`load_compiled_trace` reads the RAPID "STD" text format through a
 chunked streaming reader (``.gz`` transparently inflated block by
-block) — the whole file is never resident as one string.
+block) — the whole file is never resident as one string.  It is the
+only STD parser: :func:`repro.trace.parser.parse_trace` and
+:func:`~repro.trace.parser.load_trace` wrap its output in a
+:class:`~repro.trace.trace.Trace` view.
 """
 
 from __future__ import annotations
@@ -135,13 +138,6 @@ class CompiledTrace:
         for ev in events:
             out.append(ev.thread, ev.op, ev.target, ev.loc)
         return out
-
-    @classmethod
-    def from_trace(cls, trace: "Trace") -> "CompiledTrace":
-        compiled = getattr(trace, "compiled", None)
-        if isinstance(compiled, CompiledTrace):
-            return compiled
-        return cls.from_events(trace, name=trace.name)
 
     # -- columnar access ----------------------------------------------------
 
@@ -327,19 +323,6 @@ class InterningDetectorMixin:
                 step_event(ev)
 
 
-def ensure_trace(trace) -> "Trace":
-    """Adapt ``trace`` to a :class:`Trace` view (alias of
-    :func:`repro.trace.trace.as_trace`, kept for compatibility).
-
-    Since ``Trace`` became a thin view over ``CompiledTrace +
-    TraceIndex`` this is O(1): no events are materialized and the
-    derived relations are computed lazily, once, as int columns.
-    """
-    from repro.trace.trace import as_trace
-
-    return as_trace(trace)
-
-
 def compile_trace(trace_or_events, name: Optional[str] = None) -> CompiledTrace:
     """Compile a :class:`Trace` (or any event iterable) to columnar form."""
     if isinstance(trace_or_events, CompiledTrace):
@@ -386,9 +369,11 @@ def _iter_std_lines(path: str, chunk_size: int = _CHUNK_SIZE,
     """Yield lines of a ``.std`` / ``.std.gz`` file, reading in chunks.
 
     Decompression and line splitting are incremental: memory stays
-    bounded by ``chunk_size`` regardless of trace length.  When a
-    ``state`` dict is passed, ``state["offset"]`` tracks the
-    decompressed byte offset consumed so far (error diagnostics).
+    bounded by ``chunk_size`` regardless of trace length.  A line ends
+    at ``\n``, ``\r\n`` or a lone ``\r`` (Python's universal
+    newlines), but the file is read untranslated so that, when a
+    ``state`` dict is passed, ``state["offset"]`` counts exactly the
+    decompressed bytes consumed so far (error diagnostics).
     """
     import repro.faults as faults
 
@@ -411,12 +396,19 @@ def _iter_std_lines(path: str, chunk_size: int = _CHUNK_SIZE,
                 state["offset"] = state.get("offset", 0) + \
                     len(chunk.encode("utf-8", "surrogatepass"))
             chunk = tail + chunk
+            held = ""
+            if "\r" in chunk:   # a cheap scan keeps \n-only files fast
+                # A trailing \r may be the first half of a \r\n split
+                # across two reads, so it stays in the tail for the
+                # next chunk to decide.
+                if chunk.endswith("\r"):
+                    chunk, held = chunk[:-1], "\r"
+                chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
             lines = chunk.split("\n")
-            tail = lines.pop()
-            for line in lines:
-                yield line
+            tail = lines.pop() + held
+            yield from lines
         if tail:
-            yield tail
+            yield tail.rstrip("\r")
     finally:
         fh.close()
 
@@ -424,9 +416,9 @@ def _iter_std_lines(path: str, chunk_size: int = _CHUNK_SIZE,
 def parse_compiled(lines: Iterable[str], name: str = "trace") -> CompiledTrace:
     """Parse STD-format lines directly into a :class:`CompiledTrace`.
 
-    Accepts the same dialect as :func:`repro.trace.parser.parse_trace`
-    (comments, blank lines, optional location field) but interns names
-    and op codes as it goes, without building ``Event`` objects.
+    The STD dialect (see :mod:`repro.trace.parser`): comments, blank
+    lines and an optional location field.  Names and op codes are
+    interned as they are read, without building ``Event`` objects.
     """
     out = CompiledTrace(name)
     parse_std_into(out, lines)
@@ -456,7 +448,7 @@ def parse_std_into(out: CompiledTrace, lines: Iterable[str],
         if not line or line.startswith("#"):
             continue
         # thread | op ( target ) [| loc] — target may contain '|' but
-        # not ')' (mirrors the parse_trace regex exactly).
+        # not ')'.
         head, bar, rest0 = line.partition("|")
         op, paren, rest = rest0.partition("(")
         code = op_codes.get(op)
@@ -504,6 +496,6 @@ def load_compiled_trace(path: str, name: str = "") -> CompiledTrace:
         raise TraceReadError(path, str(exc), byte_offset=state["offset"],
                              events_parsed=len(out)) from exc
     if _t0:
-        obs.record_span("trace.load_compiled", _t0, time.monotonic_ns(),
+        obs.record_span("trace.load", _t0, time.monotonic_ns(),
                         cat="trace", path=path, events=len(out))
     return out

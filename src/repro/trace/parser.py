@@ -9,22 +9,18 @@ One event per line::
 
 Lines starting with ``#`` and blank lines are ignored.  The optional
 third field is a source location used for bug deduplication.
+
+There is one parser: :func:`repro.trace.compiled.parse_std_into`,
+which interns names and op codes as it reads.  :func:`parse_trace` and
+:func:`load_trace` wrap its :class:`~repro.trace.compiled.CompiledTrace`
+in a :class:`Trace` view, so every loader accepts the same dialect and
+raises the same errors.
 """
 
 from __future__ import annotations
 
-import re
-import time
-from typing import List
-
-import repro.obs as obs
-from repro.trace.events import Event
+from repro.trace.compiled import load_compiled_trace, parse_compiled
 from repro.trace.trace import Trace
-
-_LINE_RE = re.compile(
-    r"^(?P<thread>[^|]+)\|(?P<op>r|w|acq|rel|req|fork|join)\((?P<target>[^)]*)\)"
-    r"(?:\|(?P<loc>.*))?$"
-)
 
 
 class ParseError(Exception):
@@ -36,35 +32,9 @@ class ParseError(Exception):
         self.line = line
 
 
-def parse_events(lines) -> List[Event]:
-    """Parse an iterable of STD-format lines into events.
-
-    Shared by :func:`parse_trace` (in-memory text) and
-    :func:`load_trace` (streaming file handles): only one line is ever
-    materialized beyond the accumulated events.
-    """
-    events: List[Event] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _LINE_RE.match(line)
-        if m is None:
-            raise ParseError(lineno, line, "malformed event")
-        target = m.group("target").strip()
-        if not target:
-            raise ParseError(lineno, line, "empty target")
-        loc = m.group("loc")
-        events.append(
-            Event(len(events), m.group("thread").strip(), m.group("op"), target,
-                  loc.strip() if loc else None)
-        )
-    return events
-
-
 def parse_trace(text: str, name: str = "trace") -> Trace:
     """Parse the STD text format into a :class:`Trace`."""
-    return Trace(parse_events(text.splitlines()), name=name)
+    return Trace(parse_compiled(text.splitlines(), name=name), name=name)
 
 
 def format_trace(trace: Trace) -> str:
@@ -81,40 +51,14 @@ def format_trace(trace: Trace) -> str:
 def load_trace(path: str, name: str = "") -> Trace:
     """Read a trace file from ``path`` (``.gz`` transparently inflated).
 
-    Logged traces run to hundreds of millions of events; shipping them
-    compressed is the norm, so the loader handles it natively, streaming
-    line by line rather than inflating the whole file into one string.
-    For the analysis fast path prefer
-    :func:`repro.trace.compiled.load_compiled_trace`, which also interns
-    names and op codes while streaming.
+    A :class:`Trace` view over
+    :func:`repro.trace.compiled.load_compiled_trace`, with its error
+    contract: a missing file raises ``FileNotFoundError``, a malformed
+    line ``ParseError``, and any other read failure
+    :class:`~repro.trace.compiled.TraceReadError`.
     """
-    _t0 = time.monotonic_ns() if obs.enabled() else 0
-    try:
-        if path.endswith(".gz"):
-            import gzip
-
-            with gzip.open(path, "rt", encoding="utf-8") as fh:
-                trace = Trace(parse_events(fh), name=name or path)
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                trace = Trace(parse_events(fh), name=name or path)
-        if _t0:
-            obs.record_span("trace.load", _t0, time.monotonic_ns(),
-                            cat="trace", path=path, events=len(trace))
-        return trace
-    except (EOFError, UnicodeDecodeError) as exc:
-        from repro.trace.compiled import TraceReadError
-
-        raise TraceReadError(path, str(exc)) from exc
-    except OSError as exc:
-        # gzip raises BadGzipFile/OSError on corrupt streams; genuine
-        # filesystem errors (missing file, permissions) have an errno
-        # and must keep their type for the CLI's usage-error mapping
-        if exc.errno is not None:
-            raise
-        from repro.trace.compiled import TraceReadError
-
-        raise TraceReadError(path, str(exc)) from exc
+    compiled = load_compiled_trace(path, name=name)
+    return Trace(compiled, name=compiled.name)
 
 
 def save_trace(trace: Trace, path: str) -> None:

@@ -46,10 +46,7 @@ class Trace:
         if isinstance(events, CompiledTrace):
             self._compiled = events
         else:
-            compiled = CompiledTrace(name)
-            for ev in events:
-                compiled.append(ev.thread, ev.op, ev.target, ev.loc)
-            self._compiled = compiled
+            self._compiled = CompiledTrace.from_events(events, name=name)
         self.name = name
         self._index: Optional[TraceIndex] = None
         self._events: Optional[List[Event]] = None

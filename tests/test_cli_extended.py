@@ -1,8 +1,10 @@
 """The extended CLI subcommands: races, compare, audit, graph."""
 
+import os
+
 import pytest
 
-from repro.cli import main
+from repro.cli import entry, main
 from repro.synth.paper import sigma1, sigma2, sigma3
 from repro.trace.parser import save_trace
 
@@ -97,6 +99,27 @@ class TestJsonOutput:
         payload = json.loads(capsys.readouterr().out)
         assert payload["mode"] == "online"
         assert sorted(payload["deadlocks"][0]["events"]) == [3, 17]
+
+
+class TestLineEnds:
+    """Batch and streaming analysis read a file the same way whatever
+    its line ends: \n, \r\n or a lone \r."""
+
+    @pytest.mark.parametrize("eol", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_analyze_and_stream_agree(self, tmp_path, capsys, eol):
+        import json
+
+        corpus = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+        with open(os.path.join(corpus, "sigma2.std"), encoding="utf-8") as fh:
+            text = fh.read()
+        path = tmp_path / "sigma2.std"
+        path.write_bytes(text.replace("\n", eol).encode("utf-8"))
+        found = []
+        for mode in ([], ["--stream"]):
+            assert entry(["analyze", "--json", *mode, str(path)]) == 1
+            payload = json.loads(capsys.readouterr().out)
+            found.append([sorted(d["events"]) for d in payload["deadlocks"]])
+        assert found[0] == found[1] == [[3, 17]]
 
 
 class TestAnalyzeWindowed:

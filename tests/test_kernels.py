@@ -94,21 +94,6 @@ def both_backends(fn, *args, **kw):
     return ref, got
 
 
-def runify(comp, seed, reps=(1, 1, 2, 3, 8, 16)):
-    """Expand each r/w event into a run — the FastTrack kernel's food."""
-    from repro.trace.events import OP_READ, OP_WRITE
-
-    rng = random.Random(seed)
-    out = CompiledTrace(name=comp.name)
-    ops, _, _ = comp.columns()
-    for i in range(len(comp)):
-        ev = comp.event(i)
-        r = rng.choice(reps) if ops[i] in (OP_READ, OP_WRITE) else 1
-        for _ in range(r):
-            out.append(ev.thread, ev.op, ev.target)
-    return out
-
-
 def fuzz_config(seed):
     """A deterministic, varied generator config for one fuzz iteration."""
     return RandomTraceConfig(
@@ -136,8 +121,6 @@ def check_seed(seed):
         (index_sig, (comp,), {}),
         (online_sig, (trace,), {}),
         (offline_sig, (trace,), {"max_size": 2}),
-        (fasttrack_sig, (comp,), {}),
-        (fasttrack_sig, (runify(comp, seed + 10_000),), {}),
     ]
     if seed % 5 == 0:
         checks.append((offline_sig, (trace,), {"max_cycles": 2000}))
@@ -283,7 +266,6 @@ class TestDispatchAccounting:
             TraceIndex(comp)
             SPDOnline().run(trace)
             spd_offline(trace, max_size=2)
-            FastTrack().run(runify(comp, 1))
         after = kernels.counters()
 
         def grew(key):
@@ -292,20 +274,6 @@ class TestDispatchAccounting:
         assert grew("kernels.index_extend.numpy")
         assert grew("kernels.online_closure.numpy")
         assert grew("kernels.offline_check.numpy")
-        assert grew("kernels.fasttrack_runs.numpy")
-
-    def test_fasttrack_declines_runless_traces(self):
-        """Adaptive dispatch: no runs -> the boundary scan declines and
-        the canonical loop runs (recorded as a python dispatch)."""
-        cfg = RandomTraceConfig(num_threads=8, num_locks=8, num_vars=16,
-                                num_events=2000, acquire_prob=0.1,
-                                release_prob=0.15, seed=13)
-        comp = compile_trace(generate_random_trace(cfg))
-        before = kernels.counters().get("kernels.fasttrack_runs.python", 0)
-        with kernels.use("numpy"):
-            FastTrack().run(comp)
-        after = kernels.counters().get("kernels.fasttrack_runs.python", 0)
-        assert after > before
 
 
 # -- forced fallback: numpy absent -------------------------------------------

@@ -1,12 +1,14 @@
-"""Round-2 kernel differential suite (`kernels/spdk_np.py`,
-`kernels/baselines_np.py`, `kernels/alg_np.py`, incremental SCC,
-online micro-batching).
+"""Round-2 kernel differential suite (`kernels/alg_np.py`, incremental
+SCC, online micro-batching) and the detectors that run on them.
 
 Same contract as :mod:`tests.test_kernels`: the pure-python paths are
 the canonical semantics and every numpy kernel must be *bit-identical*
 to them — same reports, same counts, same checkpoint round-trips, same
-pinned cycle order.  Proven corpus-wide, over 200+ seeded random
-traces, and with numpy mocked away.
+pinned cycle order.  SPDOnlineK, Goodlock, UNDEAD and the naive checker
+have no kernels of their own, but under numpy they run on the index,
+ALG, offline and online kernels, so their outputs are compared across
+backends too.  Proven corpus-wide, over 200+ seeded random traces, and
+with numpy mocked away.
 
 The long fuzz loop is opt-in: ``REPRO_FUZZ_ITERS=2000 pytest -m fuzz
 tests/test_kernels_round2.py``.
@@ -26,6 +28,7 @@ from repro.core.spd_online_k import SPDOnlineK
 from repro.graph.digraph import DiGraph
 from repro.graph.johnson import _cycles_from, simple_cycles
 from repro.graph.scc import strongly_connected_components
+from repro.hb.fasttrack import FastTrack
 from repro.synth.random_traces import RandomTraceConfig, generate_random_trace
 from repro.trace.parser import load_trace
 from repro.trace.trace import as_trace
@@ -302,6 +305,16 @@ class TestMicroBatch:
 # -- dispatch accounting ------------------------------------------------------
 
 
+#: Dispatch areas whose numpy kernels were removed: no run records them.
+REMOVED_AREAS = ("kernels.fasttrack_runs.", "kernels.spdk.",
+                 "kernels.goodlock.", "kernels.naive.")
+
+
+def assert_no_removed_areas(counters):
+    stale = sorted(k for k in counters if k.startswith(REMOVED_AREAS))
+    assert not stale, stale
+
+
 @needs_numpy
 class TestDispatchAccounting:
     """Bit-identity alone could pass with kernels that never engage;
@@ -316,18 +329,19 @@ class TestDispatchAccounting:
         with kernels.use("numpy"):
             det = SPDOnlineK(max_size=4)
             det.run(trace.compiled)
+            undead(trace, max_size=3, max_cycles=300)
             goodlock(trace, max_cycles=300)
             naive_sp_detector(trace, max_size=3, max_patterns=60)
+            FastTrack().run(trace.compiled)
         after = kernels.counters()
 
         def grew(key):
             return after.get(key, 0) > before.get(key, 0)
 
-        assert grew("kernels.spdk.numpy")
-        assert grew("kernels.goodlock.numpy")
-        assert grew("kernels.naive.numpy")
+        assert grew("kernels.alg_edges.numpy")
         assert grew("kernels.online_microbatch.numpy")
         assert grew("kernels.johnson_scc.incremental")
+        assert_no_removed_areas(after)
 
     def test_python_backend_counts_python(self):
         trace = as_trace(generate_random_trace(k_config(5)))
@@ -335,14 +349,17 @@ class TestDispatchAccounting:
         with kernels.use("python"):
             det = SPDOnlineK(max_size=3)
             det.run(trace.compiled)
-            goodlock(trace, max_cycles=200)
+            undead(trace, max_size=3, max_cycles=200)
         after = kernels.counters()
-        assert (after.get("kernels.spdk.python", 0)
-                > before.get("kernels.spdk.python", 0))
-        assert (after.get("kernels.goodlock.python", 0)
-                > before.get("kernels.goodlock.python", 0))
-        assert after.get("kernels.spdk.numpy", 0) == \
-            before.get("kernels.spdk.numpy", 0)
+
+        def grew(key):
+            return after.get(key, 0) > before.get(key, 0)
+
+        assert grew("kernels.alg_edges.python")
+        assert grew("kernels.johnson_scc.incremental")
+        assert not grew("kernels.alg_edges.numpy")
+        assert not grew("kernels.online_microbatch.numpy")
+        assert_no_removed_areas(after)
 
 
 # -- forced fallback: numpy absent -------------------------------------------

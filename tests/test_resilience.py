@@ -481,6 +481,8 @@ class TestTraceIngestion:
             fh.write(b"not gzip at all")
         with pytest.raises(TraceReadError):
             load_trace(notgz)
+        with pytest.raises(TraceReadError):
+            load_trace(str(tmp_path))          # a directory
         with pytest.raises(FileNotFoundError):
             load_trace(str(tmp_path / "missing.std"))
 

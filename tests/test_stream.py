@@ -433,6 +433,36 @@ class TestCheckpointRestore:
             SPDOnline.restore(blob)
         assert isinstance(SPDOnlineK.restore(blob), SPDOnlineK)
 
+    def test_restore_rejects_stale_blobs(self):
+        """Blobs that pickled closure or context objects (the formats
+        before canonical clocks) are refused as stale, not rebound."""
+        import pickle
+
+        import repro.kernels as kernels
+        from repro.core.spd_online import _OnlineClosure
+
+        trace = as_trace(load_trace(os.path.join(
+            os.path.dirname(CORPUS[0]), "sigma2.std")))
+        with kernels.use("python"):   # old blobs predate the numpy mirrors
+            det = SPDOnline()
+            det.run(trace.compiled)
+            kind, state = pickle.loads(det.checkpoint())
+            assert state["_closures"]
+            state["_closures"] = {ctx: _OnlineClosure(det)
+                                  for ctx in state["_closures"]}
+            with pytest.raises(ValueError, match="stale SPDOnline "):
+                SPDOnline.restore(pickle.dumps((kind, state)))
+
+            det = SPDOnlineK(max_size=3)
+            det.run(generate_random_trace(RandomTraceConfig(
+                num_threads=5, num_locks=4, num_events=600, max_nesting=3,
+                acquire_prob=0.3, release_prob=0.3, seed=3)))
+            kind, state = pickle.loads(det.checkpoint())
+            assert state["_contexts"]
+            state["_contexts"] = list(det._contexts)
+            with pytest.raises(ValueError, match="stale SPDOnlineK "):
+                SPDOnlineK.restore(pickle.dumps((kind, state)))
+
     def test_trf_checkpoint_roundtrip(self):
         from repro.core.closure import SPClosureEngine
         from repro.vc.timestamps import TRFTimestamps

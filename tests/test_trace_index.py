@@ -241,7 +241,7 @@ class TestDetectorsBitIdenticalCorpusWide:
     )
     def test_corpus_trace(self, path):
         from repro.trace.compiled import load_compiled_trace
-        from repro.trace.parser import parse_events
+        from tests.test_parser import parse_events
 
         name = os.path.basename(path)[:-4]
         with open(path, "r", encoding="utf-8") as fh:
