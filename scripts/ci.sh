@@ -23,14 +23,11 @@ fi
 
 echo "== tier-1 tests (includes the property-equivalence suites:"
 echo "   tests/test_perf_equivalence.py + tests/test_trace_index.py, the"
-echo "   quick shard-differential slice: tests/test_shard_differential.py,"
-echo "   the streaming-session slice: tests/test_stream.py, the"
-echo "   resilience + chaos bit-identity suites: tests/test_resilience.py"
-echo "   + tests/test_chaos.py (incl. the fleet transport fault classes:"
-echo "   killed worker mid-lease, expired-lease re-dispatch, duplicate"
-echo "   delivery, torn queue record), the fleet queue/runner suite:"
-echo "   tests/test_fleet.py, and the kernel-vs-python differential"
-echo "   suite: tests/test_kernels.py) =="
+echo "   streaming-session slice: tests/test_stream.py, the resilience +"
+echo "   chaos bit-identity suites: tests/test_resilience.py +"
+echo "   tests/test_chaos.py (inline and process-pool runners), and the"
+echo "   kernel-vs-python differential suites: tests/test_kernels.py +"
+echo "   tests/test_kernels_round2.py) =="
 echo "-- backend: auto (numpy kernels when importable) --"
 python -m pytest -x -q
 echo "-- backend: python (pure-python reference path forced) --"
@@ -49,10 +46,10 @@ python -m pytest -q perfbench/tests
 
 echo "== perf smoke + obs overhead (floors skipped) + bounded-memory ceiling =="
 python -m pytest -q benchmarks/test_perf_regression.py \
-    benchmarks/test_shard_speedup.py benchmarks/test_stream_memory.py
+    benchmarks/test_stream_memory.py
 
-# Nightly-style long fuzz loop: opt in with e.g. REPRO_FUZZ_ITERS=5000
-# (the quick ~200-config slice above always runs as part of tier-1).
+# Nightly-style long fuzz loops: opt in with e.g. REPRO_FUZZ_ITERS=5000
+# (their quick slices above always run as part of tier-1).
 # Non-numeric values (a mistyped workflow_dispatch input) are ignored
 # rather than tripping set -e on the integer comparison.
 case "${REPRO_FUZZ_ITERS:-0}" in
@@ -61,8 +58,7 @@ case "${REPRO_FUZZ_ITERS:-0}" in
     0)
         : ;;
     *)
-        echo "== shard-differential + streaming + kernel fuzz loops + seeded fault sweeps (detector + fleet transport; REPRO_FUZZ_ITERS=${REPRO_FUZZ_ITERS}) =="
-        python -m pytest -q -m fuzz tests/test_shard_differential.py \
-            tests/test_stream.py tests/test_chaos.py tests/test_kernels.py \
-            tests/test_kernels_round2.py ;;
+        echo "== streaming + kernel fuzz loops + seeded detector fault sweeps (REPRO_FUZZ_ITERS=${REPRO_FUZZ_ITERS}) =="
+        python -m pytest -q -m fuzz tests/test_stream.py tests/test_chaos.py \
+            tests/test_kernels.py tests/test_kernels_round2.py ;;
 esac

@@ -13,7 +13,7 @@ Subcommands:
 - ``audit TRACE``     — the Section 6.1 false-negative classification.
 - ``graph TRACE``     — abstract-lock-graph (or lock-order) DOT dump.
 - ``bench run|report|diff`` — whole evaluation campaigns over
-  detector×trace matrices (:mod:`repro.exp`), sharded across worker
+  detector×trace matrices (:mod:`repro.exp`), spread across worker
   processes with ``-j N`` and cached between runs.
 - ``bench profile OUT/`` — top-k span tree + counter summary of a
   telemetry-enabled run (or one cell with ``--trace``/``--detector``).
@@ -165,21 +165,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                       f"{r.second_event} (locations {r.locations[0]} / "
                       f"{r.locations[1]})")
         return 0 if result.num_reports == 0 else 1
-    if args.shard:
-        from repro.exp.shard import ShardError, spd_offline_sharded
-
-        try:
-            result = spd_offline_sharded(trace, max_size=args.max_size,
-                                         jobs=args.jobs)
-        except ShardError as exc:
-            print(f"shard cell failed: {exc}", file=sys.stderr)
-            return 2
-    else:
-        result = spd_offline(trace, max_size=args.max_size)
+    result = spd_offline(trace, max_size=args.max_size)
     if args.json:
         print(json.dumps({
             "trace": trace.name,
-            "mode": "offline-sharded" if args.shard else "offline",
+            "mode": "offline",
             "cycles": result.num_cycles,
             "abstract_patterns": result.num_abstract_patterns,
             "concrete_patterns": result.num_concrete_patterns,
@@ -377,20 +367,7 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
 
     cache_dir = os.path.join(out_dir, "cache")
     cache = None if args.no_cache else ResultCache(cache_dir)
-    if getattr(args, "fleet", None) is not None:
-        from repro.exp.fleet import RemoteRunner
-
-        runner = RemoteRunner(
-            queue_dir=args.fleet or None,
-            workers=max(args.jobs, 0),   # -j 0: external workers only
-            lease_ttl=args.lease_ttl,
-            cache_dir=None if args.no_cache else os.path.abspath(cache_dir),
-        )
-    elif args.shard_contexts:
-        from repro.exp.shard import ShardedCampaignRunner
-
-        runner = ShardedCampaignRunner(jobs=args.jobs)
-    elif args.jobs <= 1 or args.runner == "inline":
+    if args.jobs <= 1 or args.runner == "inline":
         runner = InlineRunner()
     else:
         runner = ProcessPoolRunner(jobs=args.jobs)
@@ -527,38 +504,6 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fleet_worker(args: argparse.Namespace) -> int:
-    from repro.exp.fleet import run_worker
-    from repro.exp.fleet_queue import QueueError
-
-    try:
-        cells = run_worker(args.dir, worker_id=args.id, poll=args.poll,
-                           idle_exit=args.idle_exit,
-                           max_cells=args.max_cells)
-    except QueueError as exc:
-        print(f"fleet worker: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        return 130
-    print(f"fleet worker: {cells} cell(s) executed", file=sys.stderr)
-    return 0
-
-
-def _cmd_fleet_status(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.exp.fleet import queue_status
-    from repro.exp.fleet_queue import QueueError
-
-    try:
-        status = queue_status(args.dir)
-    except QueueError as exc:
-        print(f"fleet status: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(status, indent=2, sort_keys=True))
-    return 0
-
-
 def _window_size(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -598,11 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "memory on huge traces)")
     mode.add_argument("--window", type=_window_size, default=None, metavar="N",
                       help="bounded-memory mode: overlapping windows of N events")
-    mode.add_argument("--shard", action="store_true",
-                      help="split into per-lock-context shards and analyze "
-                           "across -j worker processes (bit-identical output)")
-    p_an.add_argument("-j", "--jobs", type=int, default=2,
-                      help="worker processes for --shard (default 2)")
     p_an.add_argument("--max-size", type=int, default=None, help="cap deadlock size")
     p_an.add_argument("--overlap", type=_overlap_fraction, default=0.5,
                       help="window overlap fraction in [0, 1) "
@@ -674,10 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_brun.add_argument("--runner", choices=["process", "inline"],
                         default="process",
                         help="force the serial runner even with -j > 1")
-    p_brun.add_argument("--shard-contexts", action="store_true",
-                        help="split spd_offline cells into per-lock-context "
-                             "shards over the worker pool (bit-identical "
-                             "results; run.json diffs clean vs unsharded)")
     p_brun.add_argument("--out", default=None,
                         help="output directory (default bench_runs/<name>)")
     p_brun.add_argument("--no-cache", action="store_true",
@@ -694,20 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "backoff; cells still failing are quarantined "
                              "(overrides the campaign's [retry] "
                              "max_attempts)")
-    p_brun.add_argument("--fleet", nargs="?", const="", default=None,
-                        metavar="DIR",
-                        help="dispatch cells through a fleet work queue "
-                             "(repro.exp.fleet): spawn -j loopback workers "
-                             "over a private queue, or coordinate DIR — a "
-                             "shared directory that external 'repro fleet "
-                             "worker DIR' loops on any machine consume; "
-                             "results are bit-identical to the local "
-                             "runners")
-    p_brun.add_argument("--lease-ttl", type=float, default=10.0,
-                        metavar="SECONDS",
-                        help="fleet only: heartbeat silence after which a "
-                             "leased cell is declared lost and retried "
-                             "(default 10)")
     p_brun.add_argument("--obs", nargs="?", const="", default=None,
                         metavar="DIR",
                         help="enable engine telemetry (repro.obs): stream "
@@ -752,36 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bprof.add_argument("-k", "--top", type=int, default=20,
                          help="span paths shown in the tree (default 20)")
     p_bprof.set_defaults(func=_cmd_bench_profile)
-
-    p_fleet = sub.add_parser(
-        "fleet", help="multi-machine campaign execution (repro.exp.fleet)"
-    )
-    fleet_sub = p_fleet.add_subparsers(dest="fleet_command", required=True)
-    p_fwork = fleet_sub.add_parser(
-        "worker", help="claim and execute cells from a fleet queue"
-    )
-    p_fwork.add_argument("dir", help="the queue directory (any filesystem "
-                                     "shared with the coordinator)")
-    p_fwork.add_argument("--id", default=None,
-                         help="worker id (default: hostname-pid); names "
-                              "this worker's lease claims and results "
-                              "channel")
-    p_fwork.add_argument("--poll", type=float, default=0.05,
-                         metavar="SECONDS",
-                         help="queue poll / lease heartbeat cadence "
-                              "(default 0.05)")
-    p_fwork.add_argument("--idle-exit", type=float, default=None,
-                         metavar="SECONDS",
-                         help="exit after this long with nothing claimable "
-                              "(default: wait for the stop marker)")
-    p_fwork.add_argument("--max-cells", type=int, default=None, metavar="N",
-                         help="exit after executing N cells (testing aid)")
-    p_fwork.set_defaults(func=_cmd_fleet_worker)
-    p_fstat = fleet_sub.add_parser(
-        "status", help="summarize a fleet queue directory"
-    )
-    p_fstat.add_argument("dir", help="the queue directory")
-    p_fstat.set_defaults(func=_cmd_fleet_status)
 
     p_obs = sub.add_parser(
         "obs", help="telemetry tooling (span logs from repro.obs)"

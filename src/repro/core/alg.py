@@ -142,78 +142,3 @@ def count_cycles(trace: Trace, max_cycles: Optional[int] = None) -> int:
     graph = _build_alg_edges(collect_abstract_acquire_ids(as_trace(trace)))
     return sum(1 for _ in simple_cycles(graph, max_cycles=max_cycles))
 
-
-# -- shard-aware entry points (repro.exp.shard) -------------------------------
-
-
-def build_alg_ids(trace: Trace) -> Tuple[List[AbstractAcquireIds], DiGraph]:
-    """``(abstract acquires, ALG over their indices)`` in interned form.
-
-    The coordinator-side entry of the sharded pipeline: nodes carry
-    their full-trace held sets (including thread-local locks), so the
-    phase-1 pattern filter inside a worker sees exactly what the serial
-    engine sees even though the spine projection drops those locks'
-    events.
-    """
-    acquires = collect_abstract_acquire_ids(as_trace(trace))
-    return acquires, _build_alg_edges(acquires)
-
-
-def alg_components(graph: DiGraph) -> List[List[int]]:
-    """Weakly connected components of ALG that can carry a cycle.
-
-    Simple cycles never leave a weak component, so components are the
-    independent "lock contexts" the sharded pipeline fans out over.
-    Returned as ascending node-index lists, sorted by minimum node;
-    singleton components are dropped — ALG has no self-loops (the edge
-    relation requires distinct threads), so they contain no cycles.
-    """
-    n = graph.num_nodes
-    adjacency = graph.adjacency()
-    undirected: List[List[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in adjacency[i]:
-            undirected[i].append(j)
-            undirected[j].append(i)
-    seen = bytearray(n)
-    components: List[List[int]] = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = 1
-        comp = [root]
-        work = [root]
-        while work:
-            u = work.pop()
-            for v in undirected[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    comp.append(v)
-                    work.append(v)
-        if len(comp) > 1:
-            comp.sort()
-            components.append(comp)
-    return components
-
-
-def enumerate_subgraph_cycles(
-    num_nodes: int,
-    edges: Sequence[Tuple[int, int]],
-    max_length: Optional[int] = None,
-    max_cycles: Optional[int] = None,
-) -> Iterator[List[int]]:
-    """Simple cycles of one component subgraph (worker-side phase 1).
-
-    ``edges`` are pairs of *local* node indices; local order must be
-    ascending in the global node ids (the coordinator sorts), so the
-    enumeration order here — starts ascending, Johnson's within-start
-    order — maps monotonically onto the whole-graph order and the
-    reducer can merge per-component streams back into the serial
-    engine's exact output order.
-    """
-    graph: DiGraph = DiGraph()
-    for i in range(num_nodes):
-        graph.add_node(i)
-    for i, j in edges:
-        graph.add_edge(i, j)
-    return simple_cycles(graph, max_length=max_length, max_cycles=max_cycles)

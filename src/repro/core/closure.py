@@ -113,27 +113,6 @@ class SPClosureEngine:
             obs.count("closure.rounds", rounds)
         return t_clock
 
-    # -- checkpoint / restore ------------------------------------------------
-
-    def checkpoint(self) -> bytes:
-        """Serialize the expensive derived state (the TRF timestamps).
-
-        The critical-section histories are a cheap single pass over the
-        acquire column *given* the timestamps, so :meth:`restore`
-        rebuilds them instead of shipping them — the blob stays compact
-        and version-robust.
-        """
-        return self.timestamps.checkpoint()
-
-    @classmethod
-    def restore(cls, trace: Trace, blob: bytes) -> "SPClosureEngine":
-        """An engine over ``trace`` reusing checkpointed timestamps.
-
-        Raises ``ValueError`` when the blob does not belong to
-        ``trace`` (callers fall back to a fresh derivation).
-        """
-        return cls(trace, timestamps=TRFTimestamps.restore(trace, blob))
-
     def timestamp_of_events(self, events: Iterable[int]) -> VectorClock:
         """``TS(S) = ⨆ {TS(e)}`` for an event set."""
         out = VectorClock.bottom(len(self.timestamps.universe))

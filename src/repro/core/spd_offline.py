@@ -53,10 +53,9 @@ def check_pattern_sequences(
 ) -> Optional[Tuple[int, ...]]:
     """Algorithm 2 on raw acquire-event sequences (one per pattern node).
 
-    The event-index core of :func:`check_abstract_pattern`, shared with
-    the sharded pipeline (``repro.exp.shard``), where workers check
-    patterns against spine-local event indices rather than
-    :class:`AbstractDeadlockPattern` objects.  Returns the first
+    The event-index core of :func:`check_abstract_pattern`, over the
+    same per-pattern input the numpy batch kernel
+    (:mod:`repro.kernels.offline_np`) takes.  Returns the first
     sync-preserving instantiation (one event per sequence, in sequence
     order), or ``None``.  The engine is reset on entry — cursor state
     is shared within a single check only.

@@ -725,9 +725,9 @@ class SPDOnline(InterningDetectorMixin):
            the horizon are removed prefix-wise; their release clocks
            are folded into a per-(thread, lock) summary that closures
            join *unconditionally* wherever the exact algorithm might
-           have joined a subset (the spine insight in reverse: we keep
-           a one-clock overapproximation of everything the closure
-           could still reach through the evicted records).
+           have joined a subset (a one-clock overapproximation of
+           everything the closure could still reach through the
+           evicted records).
         2. **Guarded-acquire queues** (AcqHist) — entries older than
            the horizon can never be re-examined usefully at bounded
            memory; dropping them forfeits only the patterns they

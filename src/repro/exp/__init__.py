@@ -9,9 +9,9 @@ this package runs such matrices as *campaigns*:
 - :mod:`repro.exp.detectors` — the detector registry mapping campaign
   names (``spd_offline``, ``spd_online``, ``fasttrack``, ...) to
   normalized adapters;
-- :mod:`repro.exp.runner` — a sharded multiprocess runner with
-  per-cell wall-clock timeouts and crash isolation, plus a serial
-  in-process runner with identical result semantics;
+- :mod:`repro.exp.runner` — a multiprocess runner with per-cell
+  wall-clock timeouts and crash isolation, plus a serial in-process
+  runner with identical result semantics;
 - :mod:`repro.exp.cache` — a content-addressed result cache keyed by
   (trace digest, detector, config, code version), so re-running a
   campaign only executes changed cells;
@@ -19,11 +19,7 @@ this package runs such matrices as *campaigns*:
   (Markdown + JSON) and a run-to-run diff;
 - :mod:`repro.exp.resilience` — the fault-tolerance layer: crash-safe
   run journal + resume, declarative retry/backoff policies, and
-  quarantine for cells that exhaust their retries;
-- :mod:`repro.exp.fleet` — the multi-machine runner: cells dispatched
-  through a shared-directory work queue (:mod:`repro.exp.fleet_queue`)
-  to ``repro fleet worker`` loops, results folded back through the
-  same journal/retry path, bit-identical to the local runners.
+  quarantine for cells that exhaust their retries.
 
 The CLI front door is ``repro-deadlock bench run|report|diff``.
 """
@@ -46,54 +42,19 @@ from repro.exp.resilience import (
 from repro.exp.runner import CellResult, CellTask, InlineRunner, ProcessPoolRunner, RunResult
 from repro.exp.report import diff_runs, render_markdown, run_to_json
 
-#: lazily re-exported from repro.exp.shard (PEP 562): shard.py imports
-#: the whole analysis engine at module level, and eagerly pulling it in
-#: here would slow every ProcessPoolRunner worker spawn — the rest of
-#: this package defers heavy imports the same way.
-_SHARD_EXPORTS = frozenset({
-    "ShardError",
-    "ShardPlan",
-    "ShardedCampaignRunner",
-    "merge_shard_outputs",
-    "spd_offline_sharded",
-    "split_trace",
-})
-
-#: same deferral for the fleet (it pulls in subprocess/multiprocessing
-#: plumbing no in-process campaign needs).
-_FLEET_EXPORTS = frozenset({"RemoteRunner", "FleetQueue"})
-
-
-def __getattr__(name):
-    if name in _SHARD_EXPORTS:
-        from repro.exp import shard
-
-        return getattr(shard, name)
-    if name in _FLEET_EXPORTS:
-        from repro.exp import fleet, fleet_queue
-
-        return getattr(fleet, name, None) or getattr(fleet_queue, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Campaign",
     "CampaignError",
     "CellResult",
     "CellTask",
     "DetectorSpec",
-    "FleetQueue",
     "InlineRunner",
     "JournalState",
     "ProcessPoolRunner",
-    "RemoteRunner",
     "ResultCache",
     "RetryPolicy",
     "RunJournal",
     "RunResult",
-    "ShardError",
-    "ShardPlan",
-    "ShardedCampaignRunner",
     "TraceSource",
     "cell_key",
     "code_version",
@@ -101,9 +62,6 @@ __all__ = [
     "journal_key",
     "load_campaign",
     "locate_journal",
-    "merge_shard_outputs",
     "render_markdown",
     "run_to_json",
-    "spd_offline_sharded",
-    "split_trace",
 ]

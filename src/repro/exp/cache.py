@@ -13,16 +13,11 @@ A cell's key digests everything that can change its output:
   invalidates exactly the cells that could change; cells of untouched
   detectors stay warm across commits.
 
-Storage is pluggable: :class:`ResultCache` keeps the schema validation
-and corruption handling and delegates the byte storage to a
-:class:`CacheBackend`.  The default :class:`LocalDirBackend` keeps
-records as JSON files under ``<root>/<key[:2]>/<key>.json``, written
-atomically (tmp + rename) so a crashed run never leaves a torn record
-for the next run to trust; pointing it at a shared filesystem turns it
-into the fleet's blob store (:mod:`repro.exp.fleet`), where workers on
-other machines warm-start exactly like local pool workers.  Only
-``ok`` and ``timeout`` cells are cached; ``error`` cells (crashed
-workers) always re-run.
+:class:`ResultCache` keeps records as JSON files under
+``<root>/<key[:2]>/<key>.json``, written atomically (tmp + rename) so a
+crashed run never leaves a torn record for the next run to trust, and
+schema-validates every record it serves.  Only ``ok`` and ``timeout``
+cells are cached; ``error`` cells (crashed workers) always re-run.
 """
 
 from __future__ import annotations
@@ -355,137 +350,59 @@ def validate_record(record) -> bool:
     return True
 
 
-class CacheBackend:
-    """The byte-storage protocol behind :class:`ResultCache`.
-
-    A backend is a keyed blob store; everything *about* the blobs —
-    JSON encoding, schema validation, corruption handling, telemetry —
-    lives in :class:`ResultCache`, so every backend (local directory
-    today, an object store or cache daemon tomorrow) serves exactly
-    the same validated records.  Remote backends for the analysis
-    fleet (:mod:`repro.exp.fleet`) implement this interface; workers
-    on other machines then warm-start exactly like local pool workers.
-
-    Contract: :meth:`load` returns ``None`` for a missing key and may
-    raise ``OSError`` for an unreadable one (the cache maps both to a
-    miss); :meth:`store` must be atomic — a concurrent reader sees the
-    old bytes or the new bytes, never a torn write; :meth:`discard` is
-    idempotent and ignores missing keys.
-    """
-
-    def load(self, key: str) -> Optional[bytes]:
-        raise NotImplementedError
-
-    def store(self, key: str, data: bytes) -> None:
-        raise NotImplementedError
-
-    def discard(self, key: str) -> None:
-        raise NotImplementedError
-
-    def keys(self) -> Iterator[str]:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        return type(self).__name__
-
-
-class LocalDirBackend(CacheBackend):
-    """The default backend: one file per key under a root directory.
+class ResultCache:
+    """Schema-validated cell-result store: one JSON file per key under
+    ``root``.
 
     Records live at ``<root>/<key[:2]>/<key>.json`` and are written
-    atomically (tmp + rename), so readers — including fleet workers
-    sharing the directory over a network filesystem — never observe a
-    torn record.
+    atomically (tmp + rename), so a reader never observes a torn
+    record.
     """
 
     def __init__(self, root: str) -> None:
         self.root = root
 
     def _path(self, key: str) -> str:
+        """Filesystem location of ``key``."""
         return os.path.join(self.root, key[:2], f"{key}.json")
 
-    def load(self, key: str) -> Optional[bytes]:
-        try:
-            with open(self._path(key), "rb") as fh:
-                return fh.read()
-        except FileNotFoundError:
-            return None
-
-    def store(self, key: str, data: bytes) -> None:
-        path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def discard(self, key: str) -> None:
+    def _discard(self, key: str) -> None:
         try:
             os.unlink(self._path(key))
         except OSError:
             pass
 
-    def keys(self) -> Iterator[str]:
+    def _keys(self) -> Iterator[str]:
         for dirpath, _, files in os.walk(self.root):
             for fn in sorted(files):
                 if fn.endswith(".json"):
                     yield fn[: -len(".json")]
 
-    def describe(self) -> str:
-        return f"dir:{self.root}"
-
-
-class ResultCache:
-    """Schema-validated cell-result store over a :class:`CacheBackend`.
-
-    ``ResultCache("path")`` keeps the historical local-directory form;
-    pass any :class:`CacheBackend` to swap the storage (the fleet's
-    shared blob store does).
-    """
-
-    def __init__(self, root) -> None:
-        if isinstance(root, CacheBackend):
-            self.backend = root
-            self.root = getattr(root, "root", None)
-        else:
-            self.backend = LocalDirBackend(root)
-            self.root = root
-
-    def _path(self, key: str) -> str:
-        """Filesystem location of ``key`` (local-dir backends only)."""
-        return self.backend._path(key)
-
     def get(self, key: str) -> Optional[dict]:
         """The record under ``key``, or None.
 
-        Corruption degrades to a miss: unreadable blobs, invalid JSON,
+        Corruption degrades to a miss: unreadable files, invalid JSON,
         and schema-invalid records (a torn write that still parses, a
         record from a future schema) all return None — and the bad
         entry is discarded so the re-computed result can replace it.
         """
         try:
-            data = self.backend.load(key)
-        except OSError:
-            data = b"\xff"                      # unreadable == corrupt
-        if data is None:
+            with open(self._path(key), "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
             obs.count("cache.miss")
             return None
+        except OSError:
+            data = b"\xff"                      # unreadable == corrupt
         try:
             record = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             obs.count("cache.corrupt")
-            self.backend.discard(key)
+            self._discard(key)
             return None
         if not validate_record(record):
             obs.count("cache.corrupt")
-            self.backend.discard(key)
+            self._discard(key)
             return None
         obs.count("cache.hit")
         return record
@@ -498,11 +415,11 @@ class ResultCache:
         """
         obs.count("cache.verify_scans")
         stats = {"scanned": 0, "ok": 0, "corrupt": 0, "pruned": 0}
-        for key in self.backend.keys():
+        for key in self._keys():
             stats["scanned"] += 1
             try:
-                data = self.backend.load(key)
-                record = json.loads((data or b"").decode("utf-8"))
+                with open(self._path(key), "rb") as fh:
+                    record = json.loads(fh.read().decode("utf-8"))
                 good = validate_record(record)
             except (OSError, UnicodeDecodeError, json.JSONDecodeError):
                 good = False
@@ -511,14 +428,25 @@ class ResultCache:
                 continue
             stats["corrupt"] += 1
             if prune:
-                self.backend.discard(key)
+                self._discard(key)
                 stats["pruned"] += 1
         return stats
 
     def put(self, key: str, record: dict) -> None:
         obs.count("cache.put")
-        self.backend.store(
-            key, json.dumps(record, sort_keys=True).encode("utf-8"))
+        path = self._path(key)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(json.dumps(record, sort_keys=True).encode("utf-8"))
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.backend.keys())
+        return sum(1 for _ in self._keys())

@@ -66,22 +66,19 @@ class TraceSource:
     - ``synth``: a Table 1 benchmark replica from
       :data:`repro.synth.suite.SUITE_BY_NAME` (generated in the worker);
     - ``random``: a :class:`~repro.synth.random_traces.RandomTraceConfig`
-      workload (the perf benchmark's traces);
-    - ``spine``: a serialized causality-spine shard
-      (:func:`repro.trace.shard.save_spine`) — internal to the
-      shard-and-merge pipeline (:mod:`repro.exp.shard`).
+      workload (the perf benchmark's traces).
     """
 
     kind: str
     name: str
-    path: Optional[str] = None          # kind == "file" / "spine"
+    path: Optional[str] = None          # kind == "file"
     benchmark: Optional[str] = None     # kind == "synth"
     params: Dict = field(default_factory=dict)  # kind == "random"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("file", "synth", "random", "spine"):
+        if self.kind not in ("file", "synth", "random"):
             raise CampaignError(f"unknown trace kind {self.kind!r}")
-        if self.kind in ("file", "spine") and not self.path:
+        if self.kind == "file" and not self.path:
             raise CampaignError(f"trace {self.name!r}: {self.kind} kind needs a path")
         if self.kind == "synth" and not self.benchmark:
             raise CampaignError(f"trace {self.name!r}: synth kind needs a benchmark")
@@ -94,7 +91,7 @@ class TraceSource:
         suite replicas that includes the scaling-cap environment).
         """
         h = hashlib.sha256()
-        if self.kind in ("file", "spine"):
+        if self.kind == "file":
             with open(self.path, "rb") as fh:
                 for chunk in iter(lambda: fh.read(1 << 20), b""):
                     h.update(chunk)
@@ -113,10 +110,6 @@ class TraceSource:
             from repro.trace.compiled import load_compiled_trace
 
             return load_compiled_trace(self.path, name=self.name)
-        if self.kind == "spine":
-            from repro.trace.shard import load_spine
-
-            return load_spine(self.path)
         if self.kind == "synth":
             from repro.synth.suite import SUITE_BY_NAME, build_benchmark
             from repro.trace.compiled import compile_trace
@@ -354,15 +347,6 @@ def _parse_traces(entries, base_dir: str) -> List[TraceSource]:
                 ))
             else:
                 raise CampaignError("synth trace needs 'benchmark' or 'suite'")
-        elif kind == "spine":
-            # Spine sources only make sense inside the shard pipeline
-            # (the _spd_shard cells it generates); a normal detector
-            # cannot consume one.
-            raise CampaignError(
-                "trace kind 'spine' is internal to the shard-and-merge "
-                "pipeline (repro.exp.shard) and cannot be used in a "
-                "campaign file"
-            )
         elif kind == "random":
             if "name" not in entry:
                 raise CampaignError("random trace needs a 'name'")

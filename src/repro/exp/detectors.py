@@ -98,24 +98,6 @@ def _stats(trace, config: dict) -> dict:
 # -- sync-preserving deadlock prediction (the paper's tools) ------------
 
 
-def spd_offline_record(res) -> dict:
-    """Canonical cell record of an ``SPDOfflineResult``.
-
-    Shared by the serial ``spd_offline`` adapter and the sharded
-    pipeline's rerouted cells (:mod:`repro.exp.shard`) — their records
-    must stay field-for-field identical so a sharded and an unsharded
-    ``bench run`` diff clean.
-    """
-    return {
-        "primary": res.num_deadlocks,
-        "deadlocks": res.num_deadlocks,
-        "cycles": res.num_cycles,
-        "abstract_patterns": res.num_abstract_patterns,
-        "concrete_patterns": res.num_concrete_patterns,
-        "bugs": _bug_list(res.unique_bugs()),
-    }
-
-
 @register("spd_offline")
 def _spd_offline(trace, config: dict) -> dict:
     from repro.core.spd_offline import spd_offline
@@ -125,7 +107,14 @@ def _spd_offline(trace, config: dict) -> dict:
         max_size=config.get("max_size"),
         max_cycles=config.get("max_cycles"),
     )
-    return spd_offline_record(res)
+    return {
+        "primary": res.num_deadlocks,
+        "deadlocks": res.num_deadlocks,
+        "cycles": res.num_cycles,
+        "abstract_patterns": res.num_abstract_patterns,
+        "concrete_patterns": res.num_concrete_patterns,
+        "bugs": _bug_list(res.unique_bugs()),
+    }
 
 
 @register("spd_online")
@@ -282,21 +271,6 @@ def _sp_races(trace, config: dict) -> dict:
         "races": res.num_races,
         "pairs_considered": res.pairs_considered,
     }
-
-
-# -- shard worker (repro.exp.shard; internal, hence the underscore) -----
-
-
-@register("_spd_shard")
-def _spd_shard(trace, config: dict) -> dict:
-    """One lock-context cell of the shard-and-merge pipeline.
-
-    ``trace`` is a :class:`repro.trace.shard.Spine` (the ``spine``
-    trace-source kind); ``config`` carries the context's ALG subgraph.
-    """
-    from repro.exp.shard import run_shard
-
-    return run_shard(trace, config)
 
 
 # -- debug detectors (runner tests only) --------------------------------

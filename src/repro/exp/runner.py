@@ -1,4 +1,4 @@
-"""Campaign execution: a serial runner and a sharded process-pool runner.
+"""Campaign execution: a serial runner and a process-pool runner.
 
 Both runners share cell semantics — load the trace, run the detector
 adapter ``repeats`` times, normalize into a :class:`CellResult` — and
@@ -212,19 +212,6 @@ class CellResult:
 
 
 @dataclass
-class RunStats:
-    """Execution bookkeeping ``run_tasks`` hands back beside results."""
-
-    cache_hits: int = 0
-    journal_replays: int = 0
-    #: journal replays whose record was missing from the result cache
-    #: and got written back — a resumed run against a cold (or remote)
-    #: cache leaves it warm, not holey.
-    cache_backfills: int = 0
-    interrupted: bool = False
-
-
-@dataclass
 class RunResult:
     """One campaign execution: ordered cell results + bookkeeping.
 
@@ -238,6 +225,9 @@ class RunResult:
     elapsed: float = 0.0
     cache_hits: int = 0
     journal_replays: int = 0
+    #: journal replays whose record was missing from the result cache
+    #: and got written back — a resumed run against a cold cache
+    #: leaves it warm, not holey.
     cache_backfills: int = 0
     interrupted: bool = False
 
@@ -424,37 +414,20 @@ class _BaseRunner:
             progress: Optional[Callable[[CellResult], None]] = None,
             journal: Optional[RunJournal] = None,
             resume: Optional[JournalState] = None) -> RunResult:
-        start = time.perf_counter()
-        tasks = campaign.cells()
-        ordered, stats = self.run_tasks(tasks, cache=cache, progress=progress,
-                                        journal=journal, resume=resume)
-        return RunResult(campaign=campaign, results=ordered,
-                         elapsed=time.perf_counter() - start,
-                         cache_hits=stats.cache_hits,
-                         journal_replays=stats.journal_replays,
-                         cache_backfills=stats.cache_backfills,
-                         interrupted=stats.interrupted)
-
-    def run_tasks(self, tasks: List[CellTask],
-                  cache: Optional[ResultCache] = None,
-                  progress: Optional[Callable[[CellResult], None]] = None,
-                  journal: Optional[RunJournal] = None,
-                  resume: Optional[JournalState] = None,
-                  ) -> Tuple[List[CellResult], RunStats]:
-        """Run a bare task list; returns ``(results in task order,
-        run stats)``.  The seam the sharded campaign runner
-        (:mod:`repro.exp.shard`) uses to mix shard cells and ordinary
-        cells over one pool.
+        """Run every cell of ``campaign``; results come back in cell
+        order.
 
         Resolution order per cell: journal replay (``resume``) beats
         cache hit beats execution.  Fresh attempts retry/backoff per
         the task's policy; every attempt and final outcome is appended
         to ``journal``.  On SIGINT/SIGTERM the in-flight cells drain
-        and the returned list holds only completed cells
-        (``stats.interrupted`` set).
+        and the result holds only completed cells (``interrupted``
+        set).
         """
+        start = time.perf_counter()
+        tasks = campaign.cells()
         results: Dict[int, CellResult] = {}
-        stats = RunStats()
+        out = RunResult(campaign=campaign)
         misses: List[CellTask] = []
         keys: Dict[int, str] = {}
         jkeys: Dict[int, str] = {}
@@ -466,18 +439,18 @@ class _BaseRunner:
                 if rec is not None:
                     hit = CellResult.from_json(task.index, rec, replayed=True)
                     results[task.index] = _restamp(hit, task)
-                    stats.journal_replays += 1
+                    out.journal_replays += 1
                     if cache is not None and hit.status in _CACHEABLE:
                         # Backfill: a replayed cell never reaches the
                         # fresh-execution cache.put below, so resuming
-                        # against a cold/remote cache would leave its
-                        # record permanently missing.
+                        # against a cold cache would leave its record
+                        # permanently missing.
                         key = keys[task.index] = task.key()
                         if cache.get(key) is None:
                             clean = replace(hit, cached=False,
                                             replayed=False).to_json()
                             cache.put(key, clean)
-                            stats.cache_backfills += 1
+                            out.cache_backfills += 1
                             obs.count("cache.backfills")
                     if journal is not None and resume.path != journal.path:
                         journal.record_cell(jkey, hit.to_json())
@@ -489,7 +462,7 @@ class _BaseRunner:
             if rec is not None:
                 hit = CellResult.from_json(task.index, rec, cached=True)
                 results[task.index] = _restamp(hit, task)
-                stats.cache_hits += 1
+                out.cache_hits += 1
                 if journal is not None:
                     journal.record_cell(jkey, hit.to_json())
                 if progress is not None:
@@ -524,9 +497,10 @@ class _BaseRunner:
                 progress(res)
             return res, None
 
-        stats.interrupted = self._execute(misses, on_result)
-        ordered = [results[t.index] for t in tasks if t.index in results]
-        return ordered, stats
+        out.interrupted = self._execute(misses, on_result)
+        out.results = [results[t.index] for t in tasks if t.index in results]
+        out.elapsed = time.perf_counter() - start
+        return out
 
     def _execute(self, tasks: List[CellTask], on_result) -> bool:
         """Run ``tasks``, reporting each attempt through ``on_result``

@@ -24,14 +24,8 @@ Fire points currently instrumented:
 - ``journal_write`` — before a :class:`repro.exp.resilience.RunJournal`
   record is appended, context ``kind`` (and ``cells`` for final
   records);
-- ``pool_tick`` — each scheduler pass of the process-pool runner *and*
-  the fleet coordinator, context ``done`` (completed cell count);
-- ``queue_lease`` — right after a fleet worker claims a task lease
-  (:mod:`repro.exp.fleet`), context ``task`` / ``worker`` — a ``crash``
-  here is a worker dying mid-lease, recovered by lease expiry;
-- ``queue_result`` — before a fleet worker appends a record to its
-  results channel, context ``index`` / ``attempt`` / ``worker`` —
-  supports the writer-cooperative ``torn`` and ``dup`` actions.
+- ``pool_tick`` — each scheduler pass of the process-pool runner,
+  context ``done`` (completed cell count).
 
 Actions:
 
@@ -43,12 +37,9 @@ Actions:
   enough to trip any configured wall-clock timeout;
 - ``sigint`` / ``sigterm`` — deliver the signal to the current
   process, exercising the drain-and-finalize path;
-- ``torn`` — used by the journal and the fleet results channel: write
-  only ``spec["keep"]`` bytes (default half) of the record, then
-  ``os._exit`` — a torn tail the loader must tolerate;
-- ``dup`` — used by the fleet results channel: append the record
-  *twice* (byte-identical), simulating at-least-once delivery after a
-  worker retransmit — the consumer must deduplicate.
+- ``torn`` — used by the journal: write only ``spec["keep"]`` bytes
+  (default half) of the record, then ``os._exit`` — a torn tail the
+  loader must tolerate.
 
 A spec fires when its ``point`` matches and every key of its ``when``
 dict equals the corresponding :func:`fire` context value, at most
@@ -74,12 +65,10 @@ class FaultSpecError(ValueError):
     """Malformed :data:`ENV_VAR` contents."""
 
 
-#: actions a writer must cooperate with (the fault needs the record
-#: bytes); :func:`spec_for` serves them, :func:`fire` rejects them.
-_WRITER_ACTIONS = ("torn", "dup")
+#: the instrumented fire points (see the module docstring).
+_VALID_POINTS = ("cell", "std_read", "journal_write", "pool_tick")
 
-_VALID_ACTIONS = ("raise", "crash", "stall", "sigint", "sigterm") \
-    + _WRITER_ACTIONS
+_VALID_ACTIONS = ("raise", "crash", "stall", "sigint", "sigterm", "torn")
 
 #: parsed spec cache: (env string) -> spec list; fire counts ride along
 #: so a changed env (tests monkeypatching) resets both.
@@ -99,6 +88,11 @@ def parse_specs(raw: str) -> List[dict]:
     for spec in specs:
         if not isinstance(spec, dict) or "point" not in spec:
             raise FaultSpecError(f"{ENV_VAR}: spec needs a 'point': {spec!r}")
+        if spec["point"] not in _VALID_POINTS:
+            raise FaultSpecError(
+                f"{ENV_VAR}: unknown point {spec['point']!r} "
+                f"(options: {', '.join(_VALID_POINTS)})"
+            )
         action = spec.get("action", "raise")
         if action not in _VALID_ACTIONS:
             raise FaultSpecError(
@@ -182,36 +176,28 @@ def _act(spec: dict, point: str, ctx: Dict) -> None:
         sig = signal.SIGINT if action == "sigint" else signal.SIGTERM
         os.kill(os.getpid(), sig)
         return
-    if action in _WRITER_ACTIONS:
+    if action == "torn":
         # handled by a cooperating writer (it needs the record bytes);
         # reaching here means the spec matched a point that cannot
-        # tear/duplicate — a plain injected fault so the test notices.
+        # tear — a plain injected fault so the test notices.
         raise InjectedFault(
-            f"writer-cooperative {action!r} fault matched "
-            f"non-writer point {point}")
+            f"writer-cooperative 'torn' fault matched non-writer point {point}")
 
 
-def spec_for(point: str, action: str, ctx: Dict) -> Optional[dict]:
-    """The matching spec with ``action`` for a write about to happen,
-    if any (consumes a fire).  Writers that support writer-cooperative
-    actions (``torn``, ``dup``) call this instead of :func:`fire` so
-    they can emit the partial/duplicated bytes themselves."""
+def torn_spec_for(point: str, ctx: Dict) -> Optional[dict]:
+    """The matching ``torn`` spec for a write about to happen, if any
+    (consumes a fire).  The journal calls this instead of :func:`fire`
+    so it can emit the partial bytes itself."""
     active = _active()
     if active is None:
         return None
     specs, fired = active
     for i, spec in enumerate(specs):
-        if (spec.get("point") == point and spec.get("action") == action
+        if (spec.get("point") == point and spec.get("action") == "torn"
                 and fired[i] < spec.get("count", 1) and _matches(spec, ctx)):
             fired[i] += 1
             return spec
     return None
-
-
-def torn_spec_for(point: str, ctx: Dict) -> Optional[dict]:
-    """The matching ``torn`` spec for a write about to happen, if any
-    (consumes a fire)."""
-    return spec_for(point, "torn", ctx)
 
 
 # -- deterministic file corruption helpers (chaos tests) ----------------------

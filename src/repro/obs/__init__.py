@@ -4,8 +4,8 @@ A zero-dependency, thread-safe telemetry subsystem: context-manager
 :func:`span` trees with monotonic timestamps plus named counters,
 gauges and histograms.  Every layer of the engine is instrumented —
 trace ingestion, index derivation, closure sweeps, vector-clock joins,
-the campaign runners, the cache, sharding, streaming sessions and the
-run journal — but the whole thing **compiles to a no-op when
+the campaign runners, the cache, streaming sessions and the run
+journal — but the whole thing **compiles to a no-op when
 disabled**:
 
 - :func:`span`/:func:`count`/... are module-level functions whose first

@@ -27,7 +27,6 @@ knows raises one slot, and only the rest pay a join.
 from __future__ import annotations
 
 from array import array
-from itertools import chain
 from typing import Dict, List, Optional
 
 import repro.obs as obs
@@ -40,18 +39,9 @@ class TRFTimestamps:
     """All-event TRF timestamps for one trace.
 
     Access with :meth:`of`.  Timestamps are *inclusive*: ``of(e)``
-    counts ``e`` itself in its own thread's component.
-
-    The O(N·T) derivation pass runs once per construction;
-    :meth:`checkpoint` / :meth:`restore` serialize the derived state so
-    other workers analyzing the *same* trace (e.g. sibling shard cells
-    of one causality component) can skip the pass entirely.
-    ``TRFTimestamps.computations`` counts derivation passes
-    process-wide — the shard pipeline's reuse is pinned against it.
+    counts ``e`` itself in its own thread's component.  The O(N·T)
+    derivation pass runs once per construction.
     """
-
-    #: process-wide count of full derivation passes (restores excluded)
-    computations = 0
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace = as_trace(trace)
@@ -64,7 +54,6 @@ class TRFTimestamps:
         self._anchor = array("i")
         #: anchor id -> the owning thread's clock at that point, trimmed
         self._rows: List[List[int]] = []
-        TRFTimestamps.computations += 1
         with obs.span("vc.trf", cat="vc"):
             self._compute()
 
@@ -202,105 +191,6 @@ class TRFTimestamps:
             return self._vals[a] <= self._vals[b]
         row = self._rows[self._anchor[b]]
         return slot < len(row) and self._vals[a] <= row[slot]
-
-    # -- checkpoint / restore ------------------------------------------------
-
-    #: v2 added payload integrity: explicit byte length + sha256, so a
-    #: bit-flipped or truncated blob is a detected ``ValueError`` (and
-    #: a recompute) rather than silently corrupt timestamps.  v3 stores
-    #: the sparse anchor rows instead of one clock per event.  v1 and
-    #: v2 blobs are rejected as stale.
-    _CKPT_MAGIC = "repro-trf-v3"
-    _CKPT_STALE = ("repro-trf-v1", "repro-trf-v2")
-
-    def checkpoint(self) -> bytes:
-        """Serialize the derived timestamps (not the trace).
-
-        One JSON header line (format marker, thread universe, event and
-        anchor counts, payload length + sha256) followed by the raw
-        bytes of the epoch and anchor-id columns, the anchor row
-        lengths, and the flattened anchor rows — deterministic for a
-        given trace, cheap to reload with ``array.frombytes``.
-        """
-        import hashlib
-        import json
-
-        lens = array("i", map(len, self._rows))
-        flat = array("i", chain.from_iterable(self._rows))
-        payload = b"".join((
-            self._slots.tobytes(), self._vals.tobytes(),
-            self._anchor.tobytes(), lens.tobytes(), flat.tobytes(),
-        ))
-        header = {
-            "format": self._CKPT_MAGIC,
-            "threads": list(self.universe.threads()),
-            "n": len(self._slots),
-            "anchors": len(self._rows),
-            "itemsize": array("i").itemsize,
-            "payload_len": len(payload),
-            "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        }
-        return b"".join((
-            json.dumps(header, sort_keys=True).encode("utf-8"), b"\n",
-            payload,
-        ))
-
-    @classmethod
-    def restore(cls, trace: Trace, blob: bytes) -> "TRFTimestamps":
-        """Rebuild timestamps for ``trace`` from :meth:`checkpoint` output.
-
-        Validates the format version, that the blob belongs to a trace
-        with the same thread universe and event count, and the
-        payload's length + sha256 (so bit flips and truncation are
-        detected); raises ``ValueError`` otherwise (the caller falls
-        back to a fresh derivation).
-        """
-        import hashlib
-        import json
-
-        trace = as_trace(trace)
-        head, sep, rest = blob.partition(b"\n")
-        if not sep:
-            raise ValueError("truncated TRF checkpoint")
-        try:
-            header = json.loads(head.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            raise ValueError("corrupt TRF checkpoint header") from None
-        fmt = header.get("format")
-        if fmt in cls._CKPT_STALE:
-            raise ValueError(
-                f"stale TRF checkpoint version {fmt!r} "
-                f"(current: {cls._CKPT_MAGIC})"
-            )
-        if fmt != cls._CKPT_MAGIC:
-            raise ValueError("not a TRF checkpoint")
-        if header["itemsize"] != array("i").itemsize:
-            raise ValueError("TRF checkpoint from a different platform")
-        if header.get("payload_len") != len(rest):
-            raise ValueError(
-                f"TRF checkpoint payload is {len(rest)} bytes, header "
-                f"says {header.get('payload_len')} (truncated?)"
-            )
-        if hashlib.sha256(rest).hexdigest() != header.get("payload_sha256"):
-            raise ValueError("TRF checkpoint payload checksum mismatch "
-                             "(corrupt blob)")
-        n, m = header["n"], header["anchors"]
-        if n != len(trace) or header["threads"] != list(trace.threads):
-            raise ValueError("TRF checkpoint is for a different trace")
-        cols = array("i")
-        cols.frombytes(rest)
-        out = cls.__new__(cls)
-        out.trace = trace
-        out.universe = ThreadUniverse(header["threads"])
-        out._slots, out._vals, out._anchor = (
-            cols[k * n:(k + 1) * n] for k in range(3))
-        values = cols[3 * n + m:].tolist()
-        out._rows = rows = []
-        off = 0
-        for length in cols[3 * n:3 * n + m]:
-            rows.append(values[off:off + length])
-            off += length
-        return out
 
 
 def _join_live(dst: List[int], src: List[int], n: int) -> bool:

@@ -2,8 +2,7 @@
 
 For each fault class the resilience layer claims to survive — worker
 crash mid-cell, stalled cell past its timeout, corrupt cache entry,
-corrupt/stale engine checkpoint, unreadable trace chunk, SIGINT
-mid-run — a deterministic seeded injection (:mod:`repro.faults`) is
+unreadable trace chunk, SIGINT mid-run — a deterministic seeded injection (:mod:`repro.faults`) is
 fired into a campaign and the final results are asserted **equal to an
 undisturbed baseline run** via :meth:`CellResult.comparable`.  The
 SIGINT + ``--resume`` path runs the real CLI in subprocesses and
@@ -22,12 +21,8 @@ import pytest
 import repro.faults as faults
 from repro.exp.cache import ResultCache
 from repro.exp.campaign import Campaign, DetectorSpec, TraceSource
-from repro.exp.fleet import RemoteRunner
 from repro.exp.resilience import JOURNAL_NAME, RunJournal
 from repro.exp.runner import InlineRunner, ProcessPoolRunner
-from repro.trace.parser import load_trace
-from repro.trace.trace import as_trace
-from repro.vc.timestamps import TRFTimestamps, compute_trf_timestamps
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -133,25 +128,6 @@ class TestChaosBitIdentity:
         # the recomputed result replaced the bad entry
         assert cache.verify() == {"scanned": 2, "ok": 2, "corrupt": 0,
                                   "pruned": 0}
-
-    def test_corrupt_and_stale_trf_checkpoint(self):
-        trace = as_trace(load_trace(os.path.join(CORPUS, "sigma2.std")))
-        blob = compute_trf_timestamps(trace).checkpoint()
-        TRFTimestamps.restore(trace, blob)       # the good blob loads
-
-        header_end = blob.index(b"\n")
-        flipped = bytearray(blob)
-        flipped[header_end + 3] ^= 0xFF
-        with pytest.raises(ValueError, match="checksum mismatch"):
-            TRFTimestamps.restore(trace, bytes(flipped))
-        with pytest.raises(ValueError, match="truncated|header says"):
-            TRFTimestamps.restore(trace, blob[: len(blob) // 2])
-        for version in (b"repro-trf-v1", b"repro-trf-v2"):
-            stale = b'{"format": "%s"}\n' % version + b"x"
-            with pytest.raises(ValueError, match="stale TRF checkpoint"):
-                TRFTimestamps.restore(trace, stale)
-        # the recovery path — a fresh derivation — is bit-identical
-        assert compute_trf_timestamps(trace).checkpoint() == blob
 
     def test_transient_trace_read_fault(self, tmp_path, monkeypatch):
         src = os.path.join(CORPUS, "sigma2.std")
@@ -311,137 +287,6 @@ class TestChaosBitIdentity:
                 f"seed={seed} action={action}: fault never fired")
 
 
-class TestFleetChaos:
-    """Fleet transport fault classes (repro.exp.fleet), each proven
-    bit-identical to an undisturbed baseline: the queue is allowed to
-    lose workers, deliver twice, and tear records — never to change a
-    verdict."""
-
-    def _baseline(self, c):
-        return comparable(InlineRunner().run(c))
-
-    def test_worker_killed_mid_lease(self, monkeypatch):
-        """A worker that dies right after claiming a cell: the lease
-        stops heartbeating, the coordinator reaps it, and the retry
-        path re-dispatches the attempt."""
-        c = campaign([DetectorSpec(name="spd_offline")], retry=RETRY)
-        base = self._baseline(c)
-        monkeypatch.setenv(faults.ENV_VAR, json.dumps(
-            [{"point": "queue_lease", "action": "crash",
-              "when": {"task": "t000000-a1"}}]))
-        fleet = RemoteRunner(workers=1, lease_ttl=0.5).run(c)
-        assert not fleet.interrupted
-        assert comparable(fleet) == base
-        assert ([a["status"] for a in fleet.results[0].attempts]
-                == ["error", "ok"])
-
-    def test_expired_lease_redispatch(self, monkeypatch):
-        """A worker that is alive but silent (stalled mid-claim, no
-        heartbeats): the TTL expires the lease and another worker runs
-        the re-dispatched attempt; the stalled worker's late wakeup
-        finds its task withdrawn and moves on."""
-        c = campaign([DetectorSpec(name="spd_offline")], retry=RETRY)
-        base = self._baseline(c)
-        monkeypatch.setenv(faults.ENV_VAR, json.dumps(
-            [{"point": "queue_lease", "action": "stall", "delay": 2.0,
-              "when": {"task": "t000000-a1"}}]))
-        fleet = RemoteRunner(workers=2, lease_ttl=0.4).run(c)
-        assert not fleet.interrupted
-        assert comparable(fleet) == base
-        assert ([a["status"] for a in fleet.results[0].attempts]
-                == ["error", "ok"])
-        assert "lease expired" in fleet.results[0].attempts[0]["error"]
-
-    def test_duplicate_result_delivery(self, tmp_path, monkeypatch):
-        """At-least-once delivery: a retransmitted (byte-identical)
-        result record is consumed once and folded once."""
-        qdir = str(tmp_path / "queue")
-        c = campaign([DetectorSpec(name="spd_offline")])
-        base = self._baseline(c)
-        monkeypatch.setenv(faults.ENV_VAR, json.dumps(
-            [{"point": "queue_result", "action": "dup",
-              "when": {"index": 0, "attempt": 1}}]))
-        fleet = RemoteRunner(queue_dir=qdir, workers=1).run(c)
-        assert not fleet.interrupted
-        assert comparable(fleet) == base
-        assert fleet.results[0].attempts == []   # no retry was needed
-        # the duplicate really was on the wire: 2 cells, 3 records
-        lines = 0
-        for fn in os.listdir(os.path.join(qdir, "results")):
-            with open(os.path.join(qdir, "results", fn), "rb") as fh:
-                lines += sum(1 for ln in fh if ln.endswith(b"\n"))
-        assert lines == 3
-
-    def test_torn_queue_record(self, tmp_path, monkeypatch):
-        """A worker that dies mid-append leaves a torn, newline-less
-        tail in its results channel.  The reader never consumes it;
-        the dead worker's lease expires and the retry re-executes."""
-        qdir = str(tmp_path / "queue")
-        c = campaign([DetectorSpec(name="spd_offline")], retry=RETRY)
-        base = self._baseline(c)
-        monkeypatch.setenv(faults.ENV_VAR, json.dumps(
-            [{"point": "queue_result", "action": "torn",
-              "when": {"index": 0, "attempt": 1}}]))
-        fleet = RemoteRunner(queue_dir=qdir, workers=1,
-                             lease_ttl=0.5).run(c)
-        assert not fleet.interrupted
-        assert comparable(fleet) == base
-        assert ([a["status"] for a in fleet.results[0].attempts]
-                == ["error", "ok"])
-        # the first worker's channel ends in the torn (un-terminated)
-        # record — present on disk, invisible to the reader
-        torn = os.path.join(qdir, "results", "w0.jsonl")
-        with open(torn, "rb") as fh:
-            data = fh.read()
-        assert data and not data.endswith(b"\n")
-
-    @pytest.mark.fuzz
-    def test_fuzz_seeded_fleet_sweep(self, monkeypatch):
-        """Nightly rotation over the fleet transport fault classes
-        (killed worker, expired lease, duplicate delivery, torn
-        record) on seeded random traces, every recovery bit-identical.
-        Bounded at 24 iterations: transport faults don't vary with
-        trace shape the way detector faults do, and each iteration
-        costs real worker subprocesses."""
-        raw = os.environ.get("REPRO_FUZZ_ITERS", "0")
-        iters = min(int(raw) if raw.isdigit() else 0, 24)
-        if iters <= 0:
-            pytest.skip("set REPRO_FUZZ_ITERS to a positive integer "
-                        "to run the seeded fleet sweep")
-        cases = [
-            {"point": "queue_lease", "action": "crash",
-             "when": {"task": "t000000-a1"}},
-            {"point": "queue_lease", "action": "stall", "delay": 2.0,
-             "when": {"task": "t000000-a1"}},
-            {"point": "queue_result", "action": "dup",
-             "when": {"index": 0, "attempt": 1}},
-            {"point": "queue_result", "action": "torn",
-             "when": {"index": 0, "attempt": 1}},
-        ]
-        for seed in range(iters):
-            spec = cases[seed % len(cases)]
-            params = dict(num_threads=2 + seed % 3, num_locks=2 + seed % 4,
-                          num_vars=1 + seed % 2,
-                          num_events=40 + (seed * 11) % 100, seed=seed)
-
-            def build():
-                return Campaign(
-                    name="fleet-fuzz",
-                    traces=[TraceSource(kind="random", name=f"r{seed}",
-                                        params=dict(params))],
-                    detectors=[DetectorSpec(name="spd_offline")],
-                    include_stats=False,
-                    retry=RETRY,
-                )
-
-            monkeypatch.delenv(faults.ENV_VAR, raising=False)
-            base = comparable(InlineRunner().run(build()))
-            monkeypatch.setenv(faults.ENV_VAR, json.dumps([spec]))
-            workers = 2 if spec["action"] == "stall" else 1
-            fleet = RemoteRunner(workers=workers, lease_ttl=0.5).run(build())
-            assert comparable(fleet) == base, f"seed={seed} spec={spec}"
-
-
 # -- SIGINT mid-run + --resume through the real CLI ---------------------
 
 
@@ -530,87 +375,3 @@ class TestSigintResumeCLI:
                     for c in rec["cells"]}
 
         assert key(resumed) == key(baseline)    # bit-identical verdicts
-
-
-class TestFleetCLI:
-    """The acceptance path: a loopback --fleet run through the real
-    CLI, bit-identical (``bench diff`` clean) to the local runners —
-    with a worker killed mid-run, and across SIGINT + --resume."""
-
-    def test_killed_worker_diffs_clean_vs_inline(self, tmp_path):
-        camp = tmp_path / "c.toml"
-        camp.write_text(CAMPAIGN_TOML)
-        out_base = str(tmp_path / "base")
-        out_fleet = str(tmp_path / "fleet")
-
-        base = _repro(["bench", "run", "--campaign", str(camp),
-                       "--out", out_base, "--no-cache", "--quiet"])
-        assert base.returncode == 0, base.stderr
-
-        # kill whichever worker claims cell 0's first attempt; the
-        # lease expires (dead pid) and the retry finishes the campaign
-        spec = json.dumps([{"point": "queue_lease", "action": "crash",
-                            "when": {"task": "t000000-a1"}}])
-        fleet = _repro(["bench", "run", "--campaign", str(camp),
-                        "--out", out_fleet, "--no-cache", "--quiet",
-                        "--fleet", "-j", "2", "--retries", "2"],
-                       env_extra={faults.ENV_VAR: spec})
-        assert fleet.returncode == 0, fleet.stderr
-
-        diff = _repro(["bench", "diff",
-                       os.path.join(out_base, "run.json"),
-                       os.path.join(out_fleet, "run.json")])
-        assert diff.returncode == 0, diff.stdout
-        with open(os.path.join(out_fleet, "run.json")) as fh:
-            rec = json.load(fh)
-        hit = [c for c in rec["cells"] if c.get("attempts")]
-        assert len(hit) == 1                     # the kill really landed
-        assert ([a["status"] for a in hit[0]["attempts"]]
-                == ["error", "ok"])
-
-    def test_sigint_then_resume_matches_baseline(self, tmp_path):
-        camp = tmp_path / "c.toml"
-        camp.write_text(CAMPAIGN_TOML)
-        out_base = str(tmp_path / "base")
-        out_int = str(tmp_path / "int")
-
-        base = _repro(["bench", "run", "--campaign", str(camp),
-                       "--out", out_base, "--no-cache", "--quiet",
-                       "-j", "2"])
-        assert base.returncode == 0, base.stderr
-
-        # SIGINT the coordinator once the first finished cell hits the
-        # journal; the fleet drains (leased cells finish, unleased
-        # cells are withdrawn behind the stop marker) and exits with
-        # the resume hint.  Cells are staggered with stalls so the
-        # interrupt genuinely lands mid-run: cell 0 is quick, the rest
-        # are still in flight or unclaimed when the drain starts.
-        spec = json.dumps(
-            [{"point": "journal_write", "action": "sigint",
-              "when": {"kind": "cell"}, "count": 1},
-             {"point": "cell", "action": "stall", "delay": 0.2,
-              "when": {"index": 0}}] +
-            [{"point": "cell", "action": "stall", "delay": 0.8,
-              "when": {"index": i}} for i in (1, 2, 3)])
-        first = _repro(["bench", "run", "--campaign", str(camp),
-                        "--out", out_int, "--no-cache", "--quiet",
-                        "--fleet", "-j", "2"],
-                       env_extra={faults.ENV_VAR: spec})
-        assert first.returncode == 3, first.stderr
-        assert "resume" in first.stderr
-        state = RunJournal.load(os.path.join(out_int, JOURNAL_NAME))
-        done = len(state.cells)
-        assert 1 <= done < 4                     # genuinely interrupted
-
-        second = _repro(["bench", "run", "--campaign", str(camp),
-                         "--out", out_int, "--resume", out_int,
-                         "--no-cache", "--quiet", "--fleet", "-j", "2"])
-        assert second.returncode == 0, second.stderr
-
-        final = RunJournal.load(os.path.join(out_int, JOURNAL_NAME))
-        assert len(final.attempts) == 4
-        assert all(n == 1 for n in final.attempts.values())
-        diff = _repro(["bench", "diff",
-                       os.path.join(out_base, "run.json"),
-                       os.path.join(out_int, "run.json")])
-        assert diff.returncode == 0, diff.stdout

@@ -280,9 +280,9 @@ class TestResultCache:
         assert r2.cache_hits == 0
 
     def test_journal_replay_backfills_a_cold_cache(self, tmp_path):
-        """Resuming against a cold/remote cache must not leave the
+        """Resuming against a cold cache must not leave the
         replayed cells permanently missing from it: journal replays
-        are written back (counted in RunStats and run.json), so the
+        are written back (counted in RunResult and run.json), so the
         next run over that cache hits instead of re-executing."""
         from repro.exp.resilience import RunJournal
 
@@ -320,9 +320,9 @@ class TestResultCache:
 
 class TestCacheKeyPortability:
     """Cell and journal keys are content-addressed: the same trace
-    bytes and campaign shape must produce identical keys on two
-    machines whose files live under different roots — the property
-    the fleet's shared blob store rests on."""
+    bytes and campaign shape must produce identical keys whatever
+    root the files live under — the property ``--resume`` from a
+    moved checkout rests on."""
 
     def test_same_content_under_two_roots_shares_keys(self, tmp_path):
         import shutil

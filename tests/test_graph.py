@@ -177,8 +177,10 @@ class TestBoundedFastPathRegression:
 
     def test_random_abstract_lock_graphs(self):
         """Same differential on real ALGs from random traces."""
-        from repro.core.alg import build_alg_ids
+        from repro.core.alg import _build_alg_edges
+        from repro.locks.abstract import collect_abstract_acquire_ids
         from repro.synth.random_traces import RandomTraceConfig, generate_random_trace
+        from repro.trace.trace import as_trace
 
         short_total = 0
         for seed in range(40):
@@ -187,7 +189,7 @@ class TestBoundedFastPathRegression:
                 num_events=60 + (seed % 3) * 40, max_nesting=2 + seed % 3,
                 acquire_prob=0.4, release_prob=0.25,
                 release_any_prob=0.4 if seed % 2 else 0.0, seed=1000 + seed))
-            _, graph = build_alg_ids(trace)
+            graph = _build_alg_edges(collect_abstract_acquire_ids(as_trace(trace)))
             general = [tuple(c) for c in simple_cycles(graph) if len(c) <= 2]
             fast = [tuple(c) for c in simple_cycles(graph, max_length=2)]
             assert fast == general

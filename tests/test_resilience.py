@@ -123,6 +123,14 @@ class TestFaults:
             faults.parse_specs('[{"action": "raise"}]')  # missing point
         with pytest.raises(faults.FaultSpecError):
             faults.parse_specs('[{"point": "cell", "action": "warp"}]')
+        # a misspelled point would otherwise parse and never fire
+        with pytest.raises(faults.FaultSpecError, match="unknown point"):
+            faults.parse_specs('[{"point": "cel", "action": "crash"}]')
+        # points and actions that nothing fires are rejected too
+        with pytest.raises(faults.FaultSpecError, match="unknown point"):
+            faults.parse_specs('[{"point": "queue_lease", "action": "crash"}]')
+        with pytest.raises(faults.FaultSpecError, match="unknown action"):
+            faults.parse_specs('[{"point": "journal_write", "action": "dup"}]')
 
     def test_fire_matches_point_when_and_count(self):
         faults.install([{"point": "cell", "action": "raise",

@@ -13,12 +13,11 @@ The contracts under test (ISSUE 5):
   reports are bit-identical to the exact detector's; tracked state
   stays bounded.
 - **Checkpoints resume exactly** — a detector checkpointed mid-stream
-  and restored produces the same remaining reports; shard cells of one
-  causality component share one TRFTimestamps derivation.
+  and restored produces the same remaining reports.
 
 The long fuzz loop is opt-in: ``REPRO_FUZZ_ITERS=N pytest -m fuzz
-tests/test_stream.py`` (nightly-style, same knob as the shard
-differential harness).
+tests/test_stream.py`` (nightly-style, same knob as the chaos and
+kernel fuzz loops).
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ BATCHES = (1, 7, 64, 100_000)
 
 
 def config_for(seed: int) -> RandomTraceConfig:
-    """Deterministic varied generator config (mirrors the shard sweep)."""
+    """Deterministic varied generator config."""
     return RandomTraceConfig(
         num_threads=2 + seed % 5,
         num_locks=2 + (seed * 7) % 6,
@@ -387,7 +386,7 @@ class TestEvictionSoundness:
 
 
 class TestCheckpointRestore:
-    """checkpoint()/restore() resumes detectors and engines exactly."""
+    """checkpoint()/restore() resumes detectors exactly."""
 
     @pytest.mark.parametrize("path", CORPUS, ids=os.path.basename)
     def test_spd_online_resume(self, path):
@@ -462,51 +461,6 @@ class TestCheckpointRestore:
             state["_contexts"] = list(det._contexts)
             with pytest.raises(ValueError, match="stale SPDOnlineK "):
                 SPDOnlineK.restore(pickle.dumps((kind, state)))
-
-    def test_trf_checkpoint_roundtrip(self):
-        from repro.core.closure import SPClosureEngine
-        from repro.vc.timestamps import TRFTimestamps
-
-        trace = as_trace(load_trace(CORPUS[0]))
-        ts = TRFTimestamps(trace)
-        blob = ts.checkpoint()
-        restored = TRFTimestamps.restore(trace, blob)
-        for i in range(len(trace)):
-            assert restored.of(i) == ts.of(i)
-            assert restored.epoch(i) == ts.epoch(i)
-        other = as_trace(generate_random_trace(config_for(3)))
-        with pytest.raises(ValueError):
-            TRFTimestamps.restore(other, blob)
-        engine = SPClosureEngine.restore(trace, blob)
-        fresh = SPClosureEngine(trace)
-        seed_clock = fresh.pred_timestamp_of_events(range(min(4, len(trace))))
-        assert engine.compute(seed_clock.copy()) == fresh.compute(seed_clock.copy())
-
-    def test_shard_cells_share_one_trf_derivation(self):
-        """ROADMAP lever (a): per-component TRFTimestamps are derived
-        once and shared across that component's phase-2 cells."""
-        from repro.exp.runner import InlineRunner
-        from repro.exp.shard import spd_offline_sharded, split_trace
-        from repro.trace.builder import TraceBuilder
-        from repro.vc.timestamps import TRFTimestamps
-
-        b = TraceBuilder()
-        for l1, l2 in (("l1", "l2"), ("l3", "l4")):
-            b.acq("t1", l1); b.acq("t1", l2)
-            b.rel("t1", l2); b.rel("t1", l1)
-            b.acq("t2", l2); b.acq("t2", l1)
-            b.rel("t2", l1); b.rel("t2", l2)
-        trace = as_trace(b.build())
-        plan = split_trace(trace, jobs=2)
-        assert plan.num_components == 1 and len(plan.cells) == 2
-        serial = spd_offline(trace)
-        before = TRFTimestamps.computations
-        sharded = spd_offline_sharded(trace, jobs=2, runner=InlineRunner())
-        derivations = TRFTimestamps.computations - before
-        assert derivations == 1, \
-            f"expected one shared derivation for 2 cells, got {derivations}"
-        assert [r.pattern.events for r in sharded.reports] == \
-            [r.pattern.events for r in serial.reports]
 
 
 class TestMonitorSession:

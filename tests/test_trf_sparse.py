@@ -8,8 +8,7 @@ anchor rows must reproduce it exactly: ``of``, ``epoch``,
 ``pred_timestamp`` and ``leq`` on every event of the corpus and of
 seeded random traces with fork/join and non-well-nested sections.
 ``leq`` against the BFS oracle ``trf_reachable_set`` is checked in
-``tests/test_vector_clocks.py``; stale checkpoint headers in
-``tests/test_chaos.py`` and ``tests/test_shard_differential.py``.
+``tests/test_vector_clocks.py``.
 """
 
 from __future__ import annotations
@@ -203,16 +202,3 @@ class TestAnchorStore:
         assert c["vc.trf.anchors"] == 4   # three first events, t2 after the join
         assert c["vc.trf.joins"] == 3     # rf 0->1, fork 3->t3, join t3->5
         assert c["vc.trf.join_skips"] == 1
-
-    def test_checkpoint_v3_round_trip(self):
-        trace = as_trace(generate_random_trace(random_config(4)))
-        ts = TRFTimestamps(trace)
-        blob = ts.checkpoint()
-        assert blob.startswith(b'{') and b'"repro-trf-v3"' in blob.split(b"\n")[0]
-        restored = TRFTimestamps.restore(trace, blob)
-        assert restored._rows == ts._rows
-        assert list(restored._anchor) == list(ts._anchor)
-        for e in range(len(trace)):
-            assert restored.of(e).values() == ts.of(e).values()
-            assert restored.epoch(e) == ts.epoch(e)
-        assert restored.checkpoint() == blob
