@@ -29,6 +29,7 @@ echo "   tests/test_chaos.py (inline and process-pool runners), and the"
 echo "   kernel-vs-python differential suites: tests/test_kernels.py +"
 echo "   tests/test_kernels_round2.py) =="
 echo "-- backend: auto (numpy kernels when importable) --"
+python -c "import repro.kernels as k; print('resolved backend:', k.backend())"
 python -m pytest -x -q
 echo "-- backend: python (pure-python reference path forced) --"
 REPRO_KERNELS=python python -m pytest -x -q

@@ -76,6 +76,7 @@ _PIPELINE_ROOTS = (
 _MODULE_DIGESTS: Optional[Dict[str, bytes]] = None
 _MODULE_IMPORTS: Optional[Dict[str, Set[str]]] = None
 _DETECTOR_VERSIONS: Dict[str, str] = {}
+_DETECTOR_MODULES: Dict[str, Tuple[str, ...]] = {}
 
 
 def _package_root() -> str:
@@ -232,6 +233,42 @@ def _registry_scaffold_digest(module_name: str) -> bytes:
     return hashlib.sha256("\n".join(lines).encode()).digest()
 
 
+def _adapter_imports(detector_name: str):
+    """``(adapter, its dedented source, the repro modules it imports)``
+    for a registry name; raises ``KeyError`` for an unknown one."""
+    import inspect
+    import textwrap
+
+    from repro.exp.detectors import get_adapter
+
+    adapter = get_adapter(detector_name)
+    source = textwrap.dedent(inspect.getsource(adapter))
+    return adapter, source, _repro_imports(ast.parse(source), _module_digests())
+
+
+def detector_modules(detector_name: str) -> Tuple[str, ...]:
+    """The ``repro`` modules ``detector_name``'s adapter imports, closed
+    transitively (sorted, memoized): what a process must have imported
+    for the adapter's first call to cost no more than its later ones.
+
+    The closure follows function-level imports too, so it reaches the
+    lazily imported kernel modules.  The shared loading pipeline
+    (``_PIPELINE_ROOTS``) is left out: ``repro.synth.suite`` reads its
+    ``REPRO_SUITE_MAX_*`` caps at import time, so it keeps loading
+    wherever the trace is built.  A detector whose adapter cannot be
+    resolved has no modules; its cells report that themselves.
+    """
+    cached = _DETECTOR_MODULES.get(detector_name)
+    if cached is None:
+        try:
+            _, _, imports = _adapter_imports(detector_name)
+        except Exception:
+            imports = set()
+        cached = _DETECTOR_MODULES[detector_name] = tuple(
+            m for m in dependency_closure(imports) if m not in _PIPELINE_ROOTS)
+    return cached
+
+
 def detector_code_version(detector_name: str) -> str:
     """Digest of everything that can change ``detector_name``'s output.
 
@@ -258,14 +295,7 @@ def detector_code_version(detector_name: str) -> str:
     if cached is not None:
         return cached
     try:
-        import inspect
-        import textwrap
-
-        from repro.exp.detectors import get_adapter
-
-        adapter = get_adapter(detector_name)
-        source = textwrap.dedent(inspect.getsource(adapter))
-        tree = ast.parse(source)
+        adapter, source, imports = _adapter_imports(detector_name)
         modules = _module_digests()
         missing = [r for r in _PIPELINE_ROOTS if r not in modules]
         if missing:
@@ -273,7 +303,7 @@ def detector_code_version(detector_name: str) -> str:
             # being tracked; the raise lands in the conservative
             # whole-package fallback below.
             raise ValueError(f"unknown pipeline root modules: {missing}")
-        roots = _repro_imports(tree, modules) | set(_PIPELINE_ROOTS)
+        roots = imports | set(_PIPELINE_ROOTS)
         scaffold = _registry_scaffold_digest(adapter.__module__)
         # Transitive closure of the roots, plus ancestor __init__
         # shims and — one level deep — the modules those shims

@@ -11,7 +11,14 @@ differ only in *where* the cell runs:
   processes.  Each cell gets its own process, so a segfaulting or
   OOM-killed detector records ``status="error"`` for its cell and
   never takes down the campaign, and a wall-clock ``timeout`` is
-  enforced by terminating the worker (``status="timeout"``).
+  enforced by killing the worker (``status="timeout"``).  Under
+  ``fork`` the parent preloads the modules its cells' detectors
+  import, so no cell pays for them, and the scheduler sleeps until a
+  worker exits, a deadline or retry backoff expires, or a signal
+  lands — no polling.
+
+Either way a cell's clock starts after its detector's modules are
+imported: one-time imports never count as detector time.
 
 Workers hand results back through per-cell JSON files written
 atomically into a private temp directory — no pipe buffering limits,
@@ -40,6 +47,7 @@ runners identically:
 
 from __future__ import annotations
 
+import importlib
 import json
 import multiprocessing
 import os
@@ -56,7 +64,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import repro.faults as faults
 import repro.obs as obs
-from repro.exp.cache import ResultCache, cell_key, detector_code_version
+from repro.exp.cache import (
+    ResultCache,
+    cell_key,
+    detector_code_version,
+    detector_modules,
+)
 from repro.exp.campaign import Campaign, DetectorSpec, TraceSource
 from repro.exp.detectors import get_adapter
 from repro.exp.resilience import (
@@ -269,6 +282,24 @@ class _DrainInterrupt(BaseException):
         self.signum = signum
 
 
+def _preload(detector_names) -> None:
+    """Import every module the named detectors' adapters import
+    (:func:`~repro.exp.cache.detector_modules`) that this process has
+    not loaded yet, so no cell's clock pays for an import.
+
+    Only imports: no detector runs.  A module that fails to import is
+    skipped, and the cell that needs it reports the failure as its own
+    error.  Costs a few dictionary lookups once everything is loaded.
+    """
+    for name in detector_names:
+        for mod in detector_modules(name):
+            if mod not in sys.modules:
+                try:
+                    importlib.import_module(mod)
+                except Exception:
+                    pass
+
+
 def run_cell(task: CellTask) -> CellResult:
     """Execute one cell in the current process (no timeout handling).
 
@@ -300,6 +331,7 @@ def _run_cell_inner(task: CellTask, base: dict) -> CellResult:
         faults.fire("cell", index=task.index, attempt=task.attempt,
                     detector=task.detector.id, trace=task.trace.name)
         adapter = get_adapter(task.detector.name)
+        _preload((task.detector.name,))
         with obs.span("trace.source", cat="exp", trace=task.trace.name):
             trace = task.trace.load()
         num_events = len(trace)
@@ -642,11 +674,17 @@ def _worker_main(task: CellTask, out_path: str, err_path: str) -> None:
 
 class ProcessPoolRunner(_BaseRunner):
     """Fan cells across ``jobs`` worker processes (one process per
-    cell: full crash isolation, enforceable wall-clock timeouts)."""
+    cell: full crash isolation, enforceable wall-clock timeouts).
 
-    #: scheduler poll cadence; cells are detector runs measured in
-    #: (fractions of) seconds, so 20ms of slack is noise.
-    poll_interval = 0.02
+    Under the ``fork`` start method the parent first imports every
+    module the campaign's detectors import (once per process, under a
+    ``pool.preload`` span), so forked cells inherit them instead of
+    importing them on their own clocks.  The scheduler then sleeps in
+    :func:`multiprocessing.connection.wait` until a worker exits, the
+    nearest cell deadline or retry backoff expires, or SIGINT/SIGTERM
+    arrives (the signal's wake-up byte lands on a self-pipe the wait
+    includes).
+    """
 
     def __init__(self, jobs: int = 2, start_method: Optional[str] = None) -> None:
         if jobs < 1:
@@ -659,12 +697,20 @@ class ProcessPoolRunner(_BaseRunner):
         self._stop = False
 
     def _execute(self, tasks, on_result) -> bool:
+        from multiprocessing.connection import wait
+
         results_done = 0
         pending: List[CellTask] = list(tasks)
         delayed: List[Tuple[float, CellTask]] = []   # (ready time, task)
         running: Dict = {}   # proc -> (task, deadline, out_path, err_path)
         self._stop = False
+        if self._ctx.get_start_method() == "fork":
+            with obs.span("pool.preload", cat="pool"):
+                _preload(sorted({t.detector.name for t in pending}))
+        wake_r, wake_w = os.pipe()
+        os.set_blocking(wake_w, False)
         old_handlers = {}
+        old_wakeup = None
         if _can_trap_signals():
             def _on_signal(signum, frame):
                 if self._stop:           # second signal: force-abort
@@ -673,6 +719,10 @@ class ProcessPoolRunner(_BaseRunner):
 
             for sig in (signal.SIGINT, signal.SIGTERM):
                 old_handlers[sig] = signal.signal(sig, _on_signal)
+            # whichever thread the signal lands on writes a byte to
+            # wake_w, which ends the scheduler's wait at once
+            old_wakeup = signal.set_wakeup_fd(wake_w,
+                                              warn_on_full_buffer=False)
         tmpdir = tempfile.mkdtemp(prefix="repro-exp-")
         # queue-wait accounting: tasks are ready the moment they enter
         # `pending` (or their retry backoff expires)
@@ -743,19 +793,26 @@ class ProcessPoolRunner(_BaseRunner):
                                      start_ns)
 
                 faults.fire("pool_tick", done=results_done)
-                time.sleep(self.poll_interval)
+                # sleep until a worker exits, a signal lands, or the
+                # nearest deadline / retry backoff expires
+                wake_at = [r[1] for r in running.values() if r[1] is not None]
+                wake_at.extend(t for t, _ in delayed)
+                timeout = (max(0.0, min(wake_at) - time.monotonic())
+                           if wake_at else None)
+                ready = wait([p.sentinel for p in running] + [wake_r], timeout)
+                if wake_r in ready:
+                    os.read(wake_r, 512)
                 now = time.monotonic()
                 finished = []
                 for proc, (task, deadline, out_path, err_path,
                            start_ns) in list(running.items()):
-                    if not proc.is_alive():
+                    if proc.sentinel in ready:
                         finished.append(proc)
                     elif deadline is not None and now >= deadline:
-                        proc.terminate()
-                        proc.join(1.0)
-                        if proc.is_alive():
-                            proc.kill()
-                            proc.join()
+                        # SIGKILL outright: a forked worker inherits the
+                        # drain handler above, which makes SIGTERM a no-op
+                        proc.kill()
+                        proc.join()
                         running.pop(proc)
                         if start_ns:
                             obs.record_span("pool.exec", start_ns,
@@ -791,8 +848,12 @@ class ProcessPoolRunner(_BaseRunner):
                 proc.kill()
                 proc.join()
             shutil.rmtree(tmpdir, ignore_errors=True)
+            if old_wakeup is not None:
+                signal.set_wakeup_fd(old_wakeup)
             for sig, handler in old_handlers.items():
                 signal.signal(sig, handler)
+            os.close(wake_r)
+            os.close(wake_w)
         return self._stop
 
     @staticmethod

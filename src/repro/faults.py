@@ -24,8 +24,9 @@ Fire points currently instrumented:
 - ``journal_write`` — before a :class:`repro.exp.resilience.RunJournal`
   record is appended, context ``kind`` (and ``cells`` for final
   records);
-- ``pool_tick`` — each scheduler pass of the process-pool runner,
-  context ``done`` (completed cell count).
+- ``pool_tick`` — each scheduler pass of the process-pool runner
+  (one per wake-up: a worker exit, a deadline, a retry coming due or
+  a signal), context ``done`` (completed cell count).
 
 Actions:
 

@@ -46,6 +46,19 @@ _MAX_SEQ_CELLS = 8_000_000
 _PREP_ATTR = "_np_offline_prep"
 
 
+def _sorted_unique(np, a):
+    """``np.unique(a)`` for a 1-D integer array: sort, then keep each
+    run's first element.  numpy >= 2.3's plain ``np.unique`` consults
+    ``np.ma`` first, and that lazy ``numpy.ma`` import (about 25 ms and
+    1.3 MB) would otherwise land on every process running this kernel.
+    """
+    out = np.sort(a)
+    keep = np.empty(out.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
 class _Prep:
     """Per-trace immutable arrays shared by every batch (cached on the
     TRFTimestamps instance)."""
@@ -108,7 +121,7 @@ class _Prep:
         # releases, referenced by their row of ``ts``.  ``row_of`` ends
         # in a -1 so that "no event" (-1) maps to "no row" (-1).
         need = np.concatenate((pred[entries], rel))
-        need = np.unique(need[need >= 0])
+        need = _sorted_unique(np, need[need >= 0])
         row_of = np.full(ops.size + 1, -1, dtype=np.int64)
         row_of[need] = np.arange(need.size)
         self.ts = self._gather(np, timestamps, need)
@@ -316,7 +329,7 @@ def _closure(np, prep, pat, slot, clock, nv, last_ai, last_rr, last_rv):
         # Contributions, per affected (pattern, lock): of the per-thread
         # last candidates, all but the trace-latest contribute their
         # release clocks — skipping releases already inside the closure.
-        ukey = np.unique(pm * n_locks + prep.q_lock[qm])
+        ukey = _sorted_unique(np, pm * n_locks + prep.q_lock[qm])
         up = ukey // n_locks
         qs = prep.lock_queues[ukey % n_locks]
         qvalid = qs >= 0
@@ -336,7 +349,7 @@ def _closure(np, prep, pat, slot, clock, nv, last_ai, last_rr, last_rv):
         cu, cw = np.nonzero(contrib)
         if not cu.size:
             return
-        affected = np.unique(up[cu])
+        affected = _sorted_unique(np, up[cu])
         before = clock[affected].copy()
         np.maximum.at(clock, up[cu], prep.ts[rr[cu, cw]])
         g_pat, g_slot = np.nonzero(clock[affected] > before)
