@@ -25,9 +25,11 @@ echo "== tier-1 tests (includes the property-equivalence suites:"
 echo "   tests/test_perf_equivalence.py + tests/test_trace_index.py, the"
 echo "   streaming-session slice: tests/test_stream.py, the resilience +"
 echo "   chaos bit-identity suites: tests/test_resilience.py +"
-echo "   tests/test_chaos.py (inline and process-pool runners), and the"
+echo "   tests/test_chaos.py (inline and process-pool runners), the"
 echo "   kernel-vs-python differential suites: tests/test_kernels.py +"
-echo "   tests/test_kernels_round2.py) =="
+echo "   tests/test_kernels_round2.py, and their online promotion"
+echo "   differential: SPDOnline/SPDOnlineK promote to the numpy closure"
+echo "   at the first history, mid-stream or never, picked per seed) =="
 echo "-- backend: auto (numpy kernels when importable) --"
 python -c "import repro.kernels as k; print('resolved backend:', k.backend())"
 python -m pytest -x -q

@@ -7,10 +7,11 @@ raw trace.  Its state:
 - ``C_t`` — the TRF timestamp of the last event of each thread;
 - ``LW_x`` — the timestamp of the last write to each variable;
 - critical-section history: a global append-only list of
-  (acquire-ts, release-ts) entries per (thread, lock), with *per-context*
-  cursors — the literal algorithm keeps one queue copy per context
-  ``⟨t1, l1, t2, l2⟩`` and consumes it destructively; a shared list with
-  per-context cursors is observationally identical and lighter;
+  (acquire-ts, release-ts) entries per (thread, lock) — a *history* —
+  with *per-context* cursors — the literal algorithm keeps one queue
+  copy per context ``⟨t1, l1, t2, l2⟩`` and consumes it destructively;
+  a shared list with per-context cursors is observationally identical
+  and lighter;
 - ``AcqHist⟨u⟩_{t,l,l'}`` — FIFO queues of (pred-ts, ts) for acquires of
   ``l`` by ``t`` holding ``l'``, one copy per opposing thread ``u``,
   consumed by ``checkDeadlock``;
@@ -40,12 +41,26 @@ Representation (the performance model):
   re-examined only when the closure clock grew in a slot of a thread
   holding critical sections on it, or when its history gained records
   (tracked by an append-only log with per-closure cursors), instead of
-  re-scanning every known lock each fix-point round.
+  re-scanning every known lock each fix-point round;
+- each history keeps, beside its records, an int column of their
+  acquire values.  Values strictly increase within a history and
+  Corollary 4.5 makes cursors monotone, so advancing a cursor to the
+  last record inside the closure is one ``bisect_right`` over the
+  column, exactly.  The records, the column and the thread id live once
+  per history on the detector; a closure keeps only an int cursor and
+  the last-consumed record per (lock, thread);
+- the closure backend is chosen by stream width.  The python closure
+  wins on narrow streams; once an exact detector records its
+  ``PROMOTE_HISTORIES``-th (thread, lock) history it promotes, once and
+  in place, to the numpy kernel (:mod:`repro.kernels.online_np`), which
+  wins on wide ones, and only then starts micro-batching its
+  ``checkDeadlock`` calls.  Bounded detectors stay python.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -110,6 +125,10 @@ _Ctx = Tuple[int, int, int, int]
 #: deferred checkDeadlock calls buffered before a forced flush
 _MB_LIMIT = 64
 
+#: (thread, lock) histories at which an exact detector promotes its
+#: closures to the numpy kernel (see SPDOnline._promote)
+PROMOTE_HISTORIES = 64
+
 
 class _OnlineClosure:
     """Per-context Algorithm 1 over the shared critical-section history.
@@ -124,9 +143,11 @@ class _OnlineClosure:
 
     def __init__(self, owner: "SPDOnline") -> None:
         self._owner = owner
-        # lid -> per-thread [cursor, last-record, records] rows, aligned
-        # with owner.threads_with_lock[lid] (synced lazily on growth).
-        self._by_lock: Dict[int, List[list]] = {}
+        # lid -> flat [cursor, last-record, cursor, last-record, ...]
+        # row, one pair per history in owner._lock_hists[lid] (extended
+        # lazily when the lock gains a thread).  The records, their
+        # value column and the thread id live once, on the owner.
+        self._by_lock: Dict[int, list] = {}
         self.clock = VectorClock(0)
         # Cursor into the owner's append-only cs_log (in *absolute*
         # positions — eviction mode compacts the log and advances
@@ -213,55 +234,51 @@ class _OnlineClosure:
         self, lid: int, t_clock: VectorClock
     ) -> Optional[List[VectorClock]]:
         owner = self._owner
-        tv = t_clock._v
-        ltv = len(tv)
-        twl = owner.threads_with_lock.get(lid)
-        if not twl:
+        hists = owner._lock_hists.get(lid)
+        if not hists:
             return None
-        rows = self._by_lock.get(lid)
+        row = self._by_lock.get(lid)
         # Rows created over an already-evicted history must fold the
         # evicted releases' summary clock into the closure (a sound
         # overapproximation — see SPDOnline._evict_stale); ``extra``
         # carries those joins out even when no cursor moves.
         extra: Optional[List[VectorClock]] = None
         evicted = owner._evicted_rel
-        if rows is None:
-            rows = self._by_lock[lid] = [
-                [0, None, owner.cs_history[(tid, lid)], tid] for tid in twl
-            ]
+        if row is None:
+            row = self._by_lock[lid] = [0, None] * len(hists)
             if evicted:
-                extra = self._eviction_summaries(evicted, twl, lid)
-        elif len(rows) < len(twl):
-            fresh = twl[len(rows):]
-            for tid in fresh:
-                rows.append([0, None, owner.cs_history[(tid, lid)], tid])
+                extra = self._eviction_summaries(evicted, hists, lid)
+        elif len(row) < 2 * len(hists):
+            fresh = hists[len(row) // 2:]
+            row.extend([0, None] * len(fresh))
             if evicted:
                 extra = self._eviction_summaries(evicted, fresh, lid)
-        # Pass 1: advance cursors.  If none moves, every prior
-        # contribution was already joined into t_clock (and, with
-        # mutex-exclusive locking, a non-latest candidate's release
-        # timestamp was already recorded when its successor acquire
-        # entered the history) — nothing new, skip candidate building.
+        # Pass 1: advance cursors.  Acquire values strictly increase
+        # within a history, so the last record inside the closure is
+        # one bisect over the value column, and Corollary 4.5 keeps the
+        # cursor monotone.  If none moves, every prior contribution was
+        # already joined into t_clock (and, with mutex-exclusive
+        # locking, a non-latest candidate's release timestamp was
+        # already recorded when its successor acquire entered the
+        # history) — nothing new, skip candidate building.
+        tv = t_clock._v
+        ltv = len(tv)
         moved = False
-        for row in rows:
-            cursor = row[0]
-            records = row[2]
-            n = len(records)
+        i = 0
+        for tid, records, col in hists:
+            cursor = row[i]
+            n = len(col)
             if cursor < n:
-                tid = row[3]
                 bound = tv[tid] if tid < ltv else 0
-                if records[cursor].acq_val <= bound:
-                    last = records[cursor]
-                    cursor += 1
-                    while cursor < n and records[cursor].acq_val <= bound:
-                        last = records[cursor]
-                        cursor += 1
-                    row[0] = cursor
-                    row[1] = last
+                if col[cursor] <= bound:
+                    cursor = bisect_right(col, bound, cursor + 1, n)
+                    row[i] = cursor
+                    row[i + 1] = records[cursor - 1]
                     moved = True
+            i += 2
         if not moved:
             return extra
-        candidates = [row[1] for row in rows if row[1] is not None]
+        candidates = [rec for rec in row[1::2] if rec is not None]
         if len(candidates) <= 1:
             return extra
         latest = candidates[0]
@@ -282,9 +299,9 @@ class _OnlineClosure:
         return joins
 
     @staticmethod
-    def _eviction_summaries(evicted, tids, lid) -> Optional[List[VectorClock]]:
+    def _eviction_summaries(evicted, hists, lid) -> Optional[List[VectorClock]]:
         out: Optional[List[VectorClock]] = None
-        for tid in tids:
+        for tid, _, _ in hists:
             summary = evicted.get((tid, lid))
             if summary is not None:
                 if out is None:
@@ -304,17 +321,20 @@ class _OnlineClosure:
         only suppress them: eviction misses, never fabricates).
         """
         pending: Optional[VectorClock] = None
-        evicted = self._owner._evicted_rel
-        for lid, rows in self._by_lock.items():
-            for row in rows:
-                k = trimmed.get((row[3], lid))
+        owner = self._owner
+        evicted = owner._evicted_rel
+        lock_hists = owner._lock_hists
+        for lid, row in self._by_lock.items():
+            for i, (tid, _, _) in zip(range(0, len(row), 2),
+                                      lock_hists[lid]):
+                k = trimmed.get((tid, lid))
                 if not k:
                     continue
-                if row[0] >= k:
-                    row[0] -= k
+                if row[i] >= k:
+                    row[i] -= k
                 else:
-                    row[0] = 0
-                    summary = evicted.get((row[3], lid))
+                    row[i] = 0
+                    summary = evicted.get((tid, lid))
                     if summary is not None:
                         if pending is None:
                             pending = summary.copy()
@@ -390,6 +410,12 @@ class SPDOnline(InterningDetectorMixin):
         self.cs_history: Dict[Tuple[int, int], List[_CSRecord]] = {}
         self._open_cs: Dict[Tuple[int, int], List[_CSRecord]] = {}
         self.threads_with_lock: Dict[int, List[int]] = {}
+        # Derived from cs_history (rebuilt on restore): each history's
+        # int column of acquire values, and per lock its (tid, records,
+        # column) triples aligned with threads_with_lock[lid].
+        self._acq_cols: Dict[Tuple[int, int], List[int]] = {}
+        self._lock_hists: Dict[int, List[Tuple[int, List[_CSRecord],
+                                               List[int]]]] = {}
         # AcqHist: shared per-(thread, lock, held-lock) acquire lists with
         # per-context cursors (equivalent to the per-opposing-thread queue
         # copies of Algorithm 4, but robust to threads appearing later),
@@ -424,27 +450,17 @@ class SPDOnline(InterningDetectorMixin):
         self._evictions = 0
         # Vectorized closure backend (repro.kernels): numpy mirrors of
         # the critical-section history, maintained write-through by the
-        # event handlers.  Exact mode only — eviction trims history
-        # prefixes, which the stateless numpy cursors cannot track.
+        # event handlers once an exact detector promotes (_promote).
+        # Eviction trims history prefixes, which the stateless numpy
+        # cursors cannot track, so bounded detectors stay python.
         self._np = None
-        if max_memory_events is None:
-            self._init_kernel()
-        # Per-event micro-batch deferral (exact mode + numpy only):
+        # Per-event micro-batch deferral (promoted detectors only):
         # non-batchable checkDeadlock calls queue here and replay at
         # flush boundaries — consecutive no-op checks of one context
         # collapse into a single folded seed join, and the python path
         # stays the inline differential oracle.
-        self._mb: Optional[List[tuple]] = (
-            [] if self._np is not None else None)
-
-    def _init_kernel(self) -> None:
-        np_mod = kernels.numpy_or_none()
-        if np_mod is not None:
-            from repro.kernels.online_np import NpOnlineState
-
-            self._np = NpOnlineState(np_mod)
-            kernels.record_dispatch("online_closure", "numpy")
-        else:
+        self._mb: Optional[List[tuple]] = None
+        if max_memory_events is None:
             kernels.record_dispatch("online_closure", "python")
 
     def _new_closure(self):
@@ -459,6 +475,54 @@ class SPDOnline(InterningDetectorMixin):
 
             return NpOnlineClosure(self)
         return _OnlineClosure(self)
+
+    def _closure_from(self, values: List[int]):
+        """A closure of the active backend rebuilt from a canonical
+        clock (see :meth:`_OnlineClosure.canonical_clock`)."""
+        closure = self._new_closure()
+        closure.seed_values(values)
+        return closure
+
+    def _promote(self) -> None:
+        """Move an exact detector onto the numpy closure kernel.
+
+        Runs once, when the stream adds its ``PROMOTE_HISTORIES``-th
+        (thread, lock) history (or on restoring a blob that has that
+        many) and numpy is the resolved backend.  Narrower streams stay
+        on the python closure, which wins there; the promotion is
+        one-way and takes the restore path: history mirrors rebuilt
+        from the canonical records, each closure from its canonical
+        clock, so reports are bit-identical at any promotion point.
+        """
+        np_mod = kernels.numpy_or_none()
+        if np_mod is None:
+            return
+        from repro.kernels.online_np import NpOnlineState
+
+        self._np = NpOnlineState.from_history(np_mod, self.cs_history)
+        self._mb = []
+        kernels.record_dispatch("online_closure", "numpy")
+        self._closures = {
+            ctx: self._closure_from(closure.canonical_clock())
+            for ctx, closure in self._closures.items()
+        }
+        self._promote_extra()
+
+    def _promote_extra(self) -> None:
+        """Subclass hook: move extra closures onto the promoted kernel."""
+
+    def _index_histories(self) -> None:
+        """Rebuild the value columns and the per-lock history index
+        from ``cs_history`` (both are dropped from checkpoints)."""
+        cols = self._acq_cols = {
+            key: [rec.acq_val for rec in records]
+            for key, records in self.cs_history.items()
+        }
+        self._lock_hists = {
+            lid: [(tid, self.cs_history[(tid, lid)], cols[(tid, lid)])
+                  for tid in tids]
+            for lid, tids in self.threads_with_lock.items()
+        }
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -557,11 +621,10 @@ class SPDOnline(InterningDetectorMixin):
         key = (tid, lid)
         records = self.cs_history.get(key)
         if records is None:
-            records = self.cs_history[key] = []
-            self.threads_with_lock.setdefault(lid, []).append(tid)
-            self.locks_of_thread[tid].append(lid)
+            records = self._add_history(tid, lid)
         rec = _CSRecord(acq_idx=idx, tid=tid, acq_val=val)
         records.append(rec)
+        self._acq_cols[key].append(val)
         self.cs_log.append(lid)
         if self._np is not None:
             self._np.on_acquire(tid, lid, val, idx)
@@ -624,6 +687,20 @@ class SPDOnline(InterningDetectorMixin):
                                c_pred, entry))
         if mb is not None and len(mb) >= _MB_LIMIT:
             self._flush_checks()
+
+    def _add_history(self, tid: int, lid: int) -> List[_CSRecord]:
+        key = (tid, lid)
+        records: List[_CSRecord] = []
+        col: List[int] = []
+        self.cs_history[key] = records
+        self._acq_cols[key] = col
+        self.threads_with_lock.setdefault(lid, []).append(tid)
+        self._lock_hists.setdefault(lid, []).append((tid, records, col))
+        self.locks_of_thread[tid].append(lid)
+        if (len(self.cs_history) == PROMOTE_HISTORIES
+                and self.max_memory_events is None):
+            self._promote()
+        return records
 
     def _check_deadlock(
         self,
@@ -757,6 +834,7 @@ class SPDOnline(InterningDetectorMixin):
             for rec in records[:k]:
                 summary.join_with(rec.rel_ts)
             del records[:k]
+            del self._acq_cols[key][:k]
             self._evicted_counts[key] = self._evicted_counts.get(key, 0) + k
             trimmed[key] = k
         if trimmed:
@@ -804,10 +882,11 @@ class SPDOnline(InterningDetectorMixin):
         # Closures serialize as their canonical clock (a plain int
         # list): backend-agnostic and numpy-free, so a blob written
         # under REPRO_KERNELS=numpy restores under python and vice
-        # versa.  The numpy history mirror is likewise dropped and
-        # resynced from the canonical records on restore.
-        state.pop("_np", None)
-        state.pop("_mb", None)
+        # versa.  The numpy history mirror, the value columns and the
+        # per-lock history index are likewise dropped and rebuilt from
+        # the canonical records on restore.
+        for derived in ("_np", "_mb", "_acq_cols", "_lock_hists"):
+            state.pop(derived, None)
         state["_closures"] = {
             ctx: closure.canonical_clock()
             for ctx, closure in self._closures.items()
@@ -832,15 +911,10 @@ class SPDOnline(InterningDetectorMixin):
         out = cls.__new__(cls)
         out.__dict__.update(state)
         out._np = None
-        if out.max_memory_events is None:
-            out._init_kernel()
-            if out._np is not None:
-                from repro.kernels.online_np import NpOnlineState
-
-                out._np = NpOnlineState.from_history(out._np.np,
-                                                     out.cs_history)
-        # Closures checkpoint as canonical clocks; rebuild them under the
-        # active kernel backend.
+        out._mb = None
+        out._index_histories()
+        # Closures checkpoint as canonical clocks; rebuild them on the
+        # python closure, then promote as a live detector would have.
         closures = {}
         for ctx, values in out._closures.items():
             if not isinstance(values, list):
@@ -849,12 +923,13 @@ class SPDOnline(InterningDetectorMixin):
                     "objects, not canonical clocks; re-feed the stream "
                     "instead"
                 )
-            closure = out._new_closure()
-            closure.seed_values(values)
-            closures[ctx] = closure
+            closures[ctx] = out._closure_from(values)
         out._closures = closures
-        out._mb = [] if out._np is not None else None
         out._restore_extra()
+        if out.max_memory_events is None:
+            kernels.record_dispatch("online_closure", "python")
+            if len(out.cs_history) >= PROMOTE_HISTORIES:
+                out._promote()
         return out
 
     def _restore_extra(self) -> None:

@@ -264,15 +264,19 @@ class SPDOnlineK(SPDOnline):
                     "instead"
                 )
             signatures, cursors, clock_values, reported = item
-            closure = self._new_closure()
-            closure.seed_values(clock_values)
             ctx = _Context(signatures=signatures, cursors=cursors,
-                           closure=closure, reported=reported)
+                           closure=self._closure_from(clock_values),
+                           reported=reported)
             contexts.append(ctx)
             for sig in signatures:
                 index.setdefault(sig, []).append(ctx)
         self._contexts = contexts
         self._contexts_of_sig = index
+
+    def _promote_extra(self) -> None:
+        """Rebuild each context's closure on the promoted kernel."""
+        for ctx in self._contexts:
+            ctx.closure = self._closure_from(ctx.closure.canonical_clock())
 
     def _named_signature(self, sig: Signature) -> NamedSignature:
         tid, lid, held = sig

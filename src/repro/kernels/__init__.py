@@ -14,6 +14,10 @@ API of the subsystem it accelerates:
   batched across *all* abstract patterns in lockstep.
 - :mod:`repro.kernels.online_np` — the per-context Algorithm 1 closure
   of SPDOnline (and of SPDOnlineK's contexts) over flat row arrays.
+  An exact detector starts on the python closure and promotes to this
+  kernel once its stream has 64 (thread, lock) histories
+  (``repro.core.spd_online.PROMOTE_HISTORIES``); narrower streams never
+  reach it, even under ``numpy``.
 
 FastTrack, Goodlock, the naive checker and SPDOnlineK's signature
 sweep have python loops only; under numpy they still run on the

@@ -7,15 +7,15 @@ with one flat fixed-stride layout indexed by a global *queue id* (one
 queue per (thread, lock) pair with critical sections):
 
 - :class:`NpOnlineState` — write-through mirrors of the shared
-  critical-section history.  Queue ``q`` owns slots ``[q*cap,
+  critical-section history, built from the canonical records at
+  promotion (and after a checkpoint restore).  Queue ``q`` owns slots ``[q*cap,
   (q+1)*cap)`` of the flat ``acq_val``/``acq_idx``/``rel_val``/
   ``rel_row`` columns (uniform capacity, relayout-doubled when any
   queue fills), plus one 2-D release-clock pool.  The encoded column
   ``enc[s] = acq_val[s] + q*stride`` is globally sorted (pad slots
   hold ``stride-1``), so *one* ``np.searchsorted`` advances every
   movable cursor of a closure round at once.  Maintained
-  incrementally by the detector's event handlers; rebuilt wholesale
-  from the canonical python records after a checkpoint restore.
+  incrementally by the detector's event handlers from then on.
 - :class:`NpOnlineClosure` — a drop-in for ``_OnlineClosure`` (same
   ``join_seed``/``compute`` surface; ``compute`` returns an object
   answering ``component``).  The movable test is one vectorized
@@ -39,9 +39,12 @@ The fix-point is unique (monotone rules), so sweeping queues in
 lockstep rounds rather than the python worklist order yields
 bit-identical closure clocks, and hence bit-identical reports; proven
 by ``tests/test_kernels.py``.  Only the *exact* detector uses this
-path — bounded-memory eviction trims queue prefixes, which would
-invalidate the stateless cursor reconstruction, so eviction mode
-stays python.
+path, and only after it promotes: a detector starts on the python
+closure and moves here when its stream records its
+``PROMOTE_HISTORIES``-th (thread, lock) history
+(:meth:`repro.core.spd_online.SPDOnline._promote`).  Bounded-memory
+eviction trims queue prefixes, which would invalidate the stateless
+cursor reconstruction, so eviction mode stays python.
 """
 
 from __future__ import annotations
@@ -212,14 +215,14 @@ class NpOnlineState:
             self._lq_stale = False
         return self.lq_table
 
-    # -- restore path --------------------------------------------------------
+    # -- promotion path ------------------------------------------------------
 
     @classmethod
     def from_history(cls, np, cs_history) -> "NpOnlineState":
-        """Full resync from the canonical ``SPDOnline.cs_history``
-        (after checkpoint restore; queue ids follow insertion order,
-        which is deterministic but need not match the original run —
-        queue order never affects the fix-point)."""
+        """Full resync from the canonical ``SPDOnline.cs_history`` at
+        promotion, live or on restore (queue ids follow insertion
+        order, which is deterministic but need not match the original
+        run — queue order never affects the fix-point)."""
         out = cls(np)
         for (tid, lid), records in cs_history.items():
             for rec in records:

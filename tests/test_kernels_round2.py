@@ -8,7 +8,9 @@ pinned cycle order.  SPDOnlineK, Goodlock, UNDEAD and the naive checker
 have no kernels of their own, but under numpy they run on the index,
 ALG, offline and online kernels, so their outputs are compared across
 backends too.  Proven corpus-wide, over 200+ seeded random traces, and
-with numpy mocked away.
+with numpy mocked away.  The SPDOnline/SPDOnlineK differentials move
+the online numpy promotion point as :mod:`tests.test_kernels` does
+(first history, mid-stream, never).
 
 The long fuzz loop is opt-in: ``REPRO_FUZZ_ITERS=2000 pytest -m fuzz
 tests/test_kernels_round2.py``.
@@ -33,7 +35,16 @@ from repro.synth.random_traces import RandomTraceConfig, generate_random_trace
 from repro.trace.parser import load_trace
 from repro.trace.trace import as_trace
 
-from tests.test_kernels import both_backends, needs_numpy
+from tests.test_kernels import (
+    PROMOTIONS,
+    both_backends,
+    history_count,
+    needs_numpy,
+    promote_at,
+    promoted_both_backends,
+    promotion_for_seed,
+    promotion_point,
+)
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 CORPUS_TRACES = sorted(f for f in os.listdir(CORPUS) if f.endswith(".std"))
@@ -97,12 +108,18 @@ def check_seed(seed):
          {"max_size": 3, "max_patterns": 60,
           "first_hit_per_abstract": seed % 2 == 0}),
     ]
-    for fn, args, kw in checks:
+    for fn, args, kw in checks[1:]:
         ref, got = both_backends(fn, *args, **kw)
         assert ref == got, (
             f"seed {seed}: {fn.__name__} {kw} differs between backends")
+    where = promotion_for_seed(seed)
+    fn, args, kw = checks[0]
+    ref, got = promoted_both_backends(trace, where, fn, *args, **kw)
+    assert ref == got, (
+        f"seed {seed}: k_sig (promotion {where}) differs between backends")
     if seed % 10 == 0:
-        check_k_checkpoint(trace, max_size, seed)
+        with promote_at(promotion_point(trace, where)):
+            check_k_checkpoint(trace, max_size, seed)
 
 
 def check_k_checkpoint(trace, max_size, seed):
@@ -141,9 +158,11 @@ class TestCorpusDifferential:
     @pytest.mark.parametrize("name", CORPUS_TRACES)
     def test_spd_online_k(self, name):
         trace = load_trace(os.path.join(CORPUS, name))
-        for max_size in (3, 4):
-            ref, got = both_backends(k_sig, trace, max_size)
-            assert ref == got, f"{name} max_size={max_size}"
+        for where in PROMOTIONS:
+            for max_size in (3, 4):
+                ref, got = promoted_both_backends(trace, where, k_sig,
+                                                  trace, max_size)
+                assert ref == got, f"{name} max_size={max_size} {where}"
 
     @pytest.mark.parametrize("name", CORPUS_TRACES)
     def test_baselines(self, name):
@@ -175,6 +194,17 @@ class TestRandomDifferential:
             pytest.skip("set REPRO_FUZZ_ITERS to run the long fuzz loop")
         for seed in range(200, 200 + iters):
             check_seed(seed)
+
+    def test_spd_online_k_every_promotion_point(self):
+        """SPDOnlineK promoting at any history count, from the first to
+        the last, stays bit-identical to the python run."""
+        trace = as_trace(generate_random_trace(k_config(7)))
+        with kernels.use("python"):
+            ref = k_sig(trace, 4)
+        assert ref[0], "the stream has no size-3+ deadlock to compare"
+        for point in range(1, history_count(trace) + 1):
+            with promote_at(point), kernels.use("numpy"):
+                assert k_sig(trace, 4) == ref, f"promotion at {point}"
 
 
 # -- incremental SCC vs the per-start recomputation --------------------------
@@ -271,27 +301,38 @@ class TestMicroBatch:
 
     def test_step_equals_feed_batch_equals_python(self):
         """Per-event stepping (flush per step) ≡ batched feeding
-        (flush at the 64-deep cap and batch end) ≡ canonical python."""
+        (flush at the 64-deep cap and batch end) ≡ canonical python,
+        with micro-batching switched on at each promotion point."""
         for seed in (2, 9, 21):
             cfg = RandomTraceConfig(num_threads=6, num_locks=6,
                                     num_events=1500, max_nesting=3,
                                     acquire_prob=0.35, release_prob=0.3,
                                     seed=seed)
-            comp = as_trace(generate_random_trace(cfg)).compiled
-            with kernels.use("python"):
-                ref = SPDOnline()
-                ref.run(comp)
-            with kernels.use("numpy"):
-                stepped = SPDOnline()
-                for i in range(len(comp)):
-                    stepped.step(comp.event(i))
-                batched = SPDOnline()
-                batched.run(comp)
-            assert self._sig(stepped) == self._sig(ref), f"seed {seed}"
-            assert self._sig(batched) == self._sig(ref), f"seed {seed}"
+            trace = as_trace(generate_random_trace(cfg))
+            comp = trace.compiled
+            for where in PROMOTIONS:
+                point = promotion_point(trace, where)
+                with promote_at(point):
+                    with kernels.use("python"):
+                        ref = SPDOnline()
+                        ref.run(comp)
+                    with kernels.use("numpy"):
+                        stepped = SPDOnline()
+                        for i in range(len(comp)):
+                            stepped.step(comp.event(i))
+                        batched = SPDOnline()
+                        batched.run(comp)
+                promoted = (point is not None
+                            and history_count(trace) >= point)
+                assert (batched._np is not None) == promoted, where
+                assert self._sig(stepped) == self._sig(ref), \
+                    f"seed {seed} promotion {where}"
+                assert self._sig(batched) == self._sig(ref), \
+                    f"seed {seed} promotion {where}"
 
     def test_microbatch_dispatch_recorded(self):
-        cfg = RandomTraceConfig(num_threads=6, num_locks=6, num_events=1500,
+        # 16 x 8 reaches the online promotion point (64 histories).
+        cfg = RandomTraceConfig(num_threads=16, num_locks=8, num_events=1500,
                                 max_nesting=3, acquire_prob=0.35,
                                 release_prob=0.3, seed=2)
         comp = as_trace(generate_random_trace(cfg)).compiled
@@ -321,7 +362,8 @@ class TestDispatchAccounting:
     pin that the round-2 numpy paths actually run."""
 
     def test_round2_areas_dispatch(self):
-        cfg = RandomTraceConfig(num_threads=6, num_locks=5, num_events=900,
+        # 16 x 8 reaches the online promotion point (64 histories).
+        cfg = RandomTraceConfig(num_threads=16, num_locks=8, num_events=1500,
                                 max_nesting=3, acquire_prob=0.3,
                                 release_prob=0.3, seed=11)
         trace = as_trace(generate_random_trace(cfg))

@@ -467,9 +467,16 @@ class TestKernelTelemetryComposition:
         reports stay identical to the python oracle."""
         import repro.kernels as kernels
         from repro.core.spd_online import SPDOnline
-        from repro.trace.parser import load_trace
+        from repro.synth.random_traces import (
+            RandomTraceConfig,
+            generate_random_trace,
+        )
 
-        trace = load_trace(os.path.join(CORPUS, "dining_phil5.std"))
+        # 16 threads x 8 locks: wide enough that SPDOnline promotes to
+        # the numpy closure kernel (64 histories).
+        trace = generate_random_trace(RandomTraceConfig(
+            num_threads=16, num_locks=8, num_events=1500, max_nesting=3,
+            acquire_prob=0.35, release_prob=0.3, seed=2))
 
         def reports(backend):
             with kernels.use(backend):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import glob
 import os
+from bisect import bisect_left
 
 import pytest
 
@@ -320,6 +321,62 @@ def assert_eviction_sound(trace, det, exact_reports, label=""):
             f"{label}: fabricated non-deadlock {pair}"
 
 
+def closure_cursors(det):
+    """Each closure row's (cursor, last-consumed record), keyed by
+    (closure, lock, row position)."""
+    out = {}
+    for closure in det._closures.values():
+        for lid, row in closure._by_lock.items():
+            for i in range(0, len(row), 2):
+                out[(id(closure), lid, i)] = (row[i], row[i + 1])
+    return out
+
+
+def assert_sweep_invariants(det, before):
+    """After an eviction sweep: every value column equals its records'
+    acquire values (the per-lock index shares those lists), and every
+    closure cursor was rebased onto the trimmed history — it names its
+    last-consumed record's new position, or 0 once that was evicted."""
+    for key, records in det.cs_history.items():
+        assert det._acq_cols[key] == [rec.acq_val for rec in records], key
+    for lid, hists in det._lock_hists.items():
+        assert [h[0] for h in hists] == det.threads_with_lock[lid]
+        for tid, records, col in hists:
+            assert records is det.cs_history[(tid, lid)]
+            assert col is det._acq_cols[(tid, lid)]
+    for closure in det._closures.values():
+        for lid, row in closure._by_lock.items():
+            hists = det._lock_hists[lid]
+            for i in range(0, len(row), 2):
+                tid, records, col = hists[i // 2]
+                old_cursor, last = before.get((id(closure), lid, i),
+                                              (0, None))
+                want = 0
+                if old_cursor:
+                    j = bisect_left(col, last.acq_val)
+                    if j < len(col) and records[j] is last:
+                        want = j + 1
+                assert row[i] == want, (tid, lid, old_cursor, row[i])
+                if want:
+                    assert row[i + 1] is records[want - 1]
+
+
+def checked_sweeps(det):
+    """Make ``det`` assert :func:`assert_sweep_invariants` after every
+    eviction sweep; ``det.sweeps_checked`` counts them."""
+    sweep = det._evict_stale
+    det.sweeps_checked = 0
+
+    def checked():
+        before = closure_cursors(det)
+        sweep()
+        assert_sweep_invariants(det, before)
+        det.sweeps_checked += 1
+
+    det._evict_stale = checked
+    return det
+
+
 class TestEvictionSoundness:
     """Bounded-memory mode only ever misses, never fabricates."""
 
@@ -328,7 +385,7 @@ class TestEvictionSoundness:
         trace = as_trace(load_trace(path))
         exact = spd_online(trace.compiled).reports
         for horizon in (8, 32, 128):
-            det = SPDOnline(max_memory_events=horizon)
+            det = checked_sweeps(SPDOnline(max_memory_events=horizon))
             det.run(trace.compiled)
             assert_eviction_sound(trace, det, exact, f"{path}@{horizon}")
 
@@ -339,9 +396,10 @@ class TestEvictionSoundness:
             trace = as_trace(generate_random_trace(config_for(seed)))
             exact = spd_online(trace.compiled).reports
             horizon = 16 + seed % 48
-            det = SPDOnline(max_memory_events=horizon)
+            det = checked_sweeps(SPDOnline(max_memory_events=horizon))
             det.run(trace.compiled)
             assert_eviction_sound(trace, det, exact, f"seed={seed}")
+            assert det.sweeps_checked == det.stats()["evictions"]
             if det.stats()["evictions"]:
                 fired += 1
             kept += len(det.reports)
@@ -358,7 +416,7 @@ class TestEvictionSoundness:
         exact = SPDOnline()
         exact.run(compiled)
         horizon = 256
-        bounded = SPDOnline(max_memory_events=horizon)
+        bounded = checked_sweeps(SPDOnline(max_memory_events=horizon))
         bounded.run(compiled)
         exact_entries = exact.stats()["tracked_entries"]
         bounded_entries = bounded.stats()["tracked_entries"]
@@ -424,6 +482,42 @@ class TestCheckpointRestore:
             assert online_key(resumed.reports) == \
                 online_key(straight.reports), f"seed={seed}"
             assert resumed.cs_log_base == straight.cs_log_base, f"seed={seed}"
+
+    def test_blob_pickles_canonical_state_only(self):
+        """The value columns and the per-lock history index derive from
+        ``cs_history``: blobs leave them out (as they leave out the
+        numpy mirror), so every blob pickles the same state keys, and
+        restore rebuilds them equal to the live detector's."""
+        import pickle
+
+        keys = {
+            "_acq_seq", "_clocks", "_closure_iterations", "_closures",
+            "_ctx_cursor", "_deadlock_checks", "_events_seen",
+            "_evict_period", "_evicted_counts", "_evicted_rel",
+            "_evictions", "_held", "_last_write", "_lid", "_lock_names",
+            "_next_evict", "_open_cs", "_pair_threads", "_thread_names",
+            "_tid", "_vid", "cs_history", "cs_log", "cs_log_base",
+            "locks_of_thread", "max_memory_events", "reports",
+            "threads_with_lock", "universe",
+        }
+        k_keys = keys | {"_contexts", "_pred", "_sig_entries", "_sig_index",
+                         "_sigs", "_succ", "k_reports", "max_size"}
+        compiled = as_trace(generate_random_trace(RandomTraceConfig(
+            num_threads=5, num_locks=4, num_events=600, max_nesting=3,
+            acquire_prob=0.3, release_prob=0.3, seed=3))).compiled
+        for det, want in ((SPDOnline(), keys),
+                          (SPDOnline(max_memory_events=32), keys),
+                          (SPDOnlineK(max_size=3), k_keys)):
+            det.run(compiled)
+            blob = det.checkpoint()
+            assert set(pickle.loads(blob)[1]) == want, type(det).__name__
+            out = type(det).restore(blob)
+            assert out._acq_cols == det._acq_cols
+            for lid, hists in det._lock_hists.items():
+                assert [(tid, col) for tid, _, col in hists] == \
+                    [(tid, col) for tid, _, col in out._lock_hists[lid]]
+                for tid, records, _ in out._lock_hists[lid]:
+                    assert records is out.cs_history[(tid, lid)]
 
     def test_restore_rejects_other_detector_kind(self):
         det = SPDOnlineK(max_size=3)
@@ -539,6 +633,6 @@ class TestStreamFuzz:
             exact = spd_online(trace.compiled).reports
             assert online_key(fed["online"].reports) == online_key(exact), \
                 f"seed={seed}"
-            det = SPDOnline(max_memory_events=16 + seed % 64)
+            det = checked_sweeps(SPDOnline(max_memory_events=16 + seed % 64))
             det.run(trace.compiled)
             assert_eviction_sound(trace, det, exact, f"seed={seed}")
