@@ -30,8 +30,8 @@ echo "   kernel-vs-python differential suites: tests/test_kernels.py +"
 echo "   tests/test_kernels_round2.py, and their online promotion"
 echo "   differential: SPDOnline/SPDOnlineK promote to the numpy closure"
 echo "   at the first history, mid-stream or never, picked per seed) =="
-echo "-- backend: auto (numpy kernels when importable) --"
-python -c "import repro.kernels as k; print('resolved backend:', k.backend())"
+echo "-- backend: auto (numpy kernels when installed, imported at first use) --"
+python -c "import sys, repro.kernels as k; print('resolved backend:', k.backend(), '| numpy loaded by resolving:', 'numpy' in sys.modules)"
 python -m pytest -x -q
 echo "-- backend: python (pure-python reference path forced) --"
 REPRO_KERNELS=python python -m pytest -x -q

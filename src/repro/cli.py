@@ -527,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--kernels", choices=("auto", "numpy", "python"), default=None,
         help="kernel backend for the hot loops (default: REPRO_KERNELS "
-             "env var, else auto = numpy when importable); outputs are "
+             "env var, else auto = numpy when installed); outputs are "
              "bit-identical either way")
     sub = parser.add_subparsers(dest="command", required=True)
 

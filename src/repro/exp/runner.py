@@ -13,9 +13,10 @@ differ only in *where* the cell runs:
   never takes down the campaign, and a wall-clock ``timeout`` is
   enforced by killing the worker (``status="timeout"``).  Under
   ``fork`` the parent preloads the modules its cells' detectors
-  import, so no cell pays for them, and the scheduler sleeps until a
-  worker exits, a deadline or retry backoff expires, or a signal
-  lands — no polling.
+  import (and numpy, when the kernel backend resolves to it), so no
+  cell pays for them, and the scheduler sleeps until a worker exits,
+  a deadline or retry backoff expires, or a signal lands — no
+  polling.
 
 Either way a cell's clock starts after its detector's modules are
 imported: one-time imports never count as detector time.
@@ -63,6 +64,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import repro.faults as faults
+import repro.kernels as kernels
 import repro.obs as obs
 from repro.exp.cache import (
     ResultCache,
@@ -285,7 +287,8 @@ class _DrainInterrupt(BaseException):
 def _preload(detector_names) -> None:
     """Import every module the named detectors' adapters import
     (:func:`~repro.exp.cache.detector_modules`) that this process has
-    not loaded yet, so no cell's clock pays for an import.
+    not loaded yet, and numpy when it is the resolved kernel backend,
+    so no cell's clock pays for an import.
 
     Only imports: no detector runs.  A module that fails to import is
     skipped, and the cell that needs it reports the failure as its own
@@ -298,6 +301,10 @@ def _preload(detector_names) -> None:
                     importlib.import_module(mod)
                 except Exception:
                     pass
+    try:
+        kernels.numpy_or_none()
+    except kernels.KernelsError:
+        pass
 
 
 def run_cell(task: CellTask) -> CellResult:
@@ -677,9 +684,10 @@ class ProcessPoolRunner(_BaseRunner):
     cell: full crash isolation, enforceable wall-clock timeouts).
 
     Under the ``fork`` start method the parent first imports every
-    module the campaign's detectors import (once per process, under a
-    ``pool.preload`` span), so forked cells inherit them instead of
-    importing them on their own clocks.  The scheduler then sleeps in
+    module the campaign's detectors import, and numpy when the kernel
+    backend resolves to it (once per process, under a ``pool.preload``
+    span), so forked cells inherit them instead of importing them on
+    their own clocks.  The scheduler then sleeps in
     :func:`multiprocessing.connection.wait` until a worker exits, the
     nearest cell deadline or retry backoff expires, or SIGINT/SIGTERM
     arrives (the signal's wake-up byte lands on a self-pipe the wait

@@ -28,9 +28,19 @@ Backend selection
 
 ``REPRO_KERNELS`` picks the backend:
 
-- ``python`` — the canonical pure-python paths only.
-- ``numpy``  — require numpy; raise if it is not importable.
-- ``auto``   — (default) numpy when importable, else python.
+- ``python`` — the canonical pure-python paths only; numpy is never
+  imported.
+- ``numpy``  — require numpy: :func:`backend` imports it at once and
+  raises if it is not importable.
+- ``auto``   — (default) numpy when installed, else python.  Resolving
+  ``auto`` only looks numpy up (``importlib.util.find_spec``); numpy
+  is imported at the first dispatch whose size floor says the numpy
+  path runs, so a process that never reaches one (FastTrack, a narrow
+  online stream) never loads it.  If that import fails, ``auto``
+  means python for the rest of the process.
+
+Each kernel entry point checks its own size floor before it calls
+:func:`numpy_or_none`, the one place numpy is imported.
 
 numpy is an *optional extra* (``pip install repro[numpy]``), never a
 hard dependency: every dispatch site falls back to the canonical
@@ -46,6 +56,7 @@ CLI ``--kernels`` flag and for tests.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 from typing import Dict, Optional
 
@@ -65,26 +76,34 @@ _VALID = ("python", "numpy", "auto")
 #: :func:`set_backend` override; ``None`` = follow ``REPRO_KERNELS``.
 _FORCED: Optional[str] = None
 
-# Memoized numpy import probe (the import itself, not the selection:
-# REPRO_KERNELS may legitimately change between calls in tests).
+# Memoized numpy probes (not the selection: REPRO_KERNELS may
+# legitimately change between calls in tests).  ``_HAVE_NUMPY`` is
+# None until probed, then whether numpy's spec is installed, then,
+# once an import was tried, whether it succeeded.
 _NUMPY = None
-_NUMPY_CHECKED = False
+_HAVE_NUMPY: Optional[bool] = None
 
 
 class KernelsError(RuntimeError):
     """Invalid kernel-backend selection."""
 
 
+def _numpy_installed() -> bool:
+    global _HAVE_NUMPY
+    if _HAVE_NUMPY is None:
+        _HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+    return _HAVE_NUMPY
+
+
 def _import_numpy():
-    global _NUMPY, _NUMPY_CHECKED
-    if not _NUMPY_CHECKED:
+    global _NUMPY, _HAVE_NUMPY
+    if _NUMPY is None and _numpy_installed():
         try:
             import numpy  # noqa: F401
 
             _NUMPY = numpy
         except ImportError:
-            _NUMPY = None
-        _NUMPY_CHECKED = True
+            _HAVE_NUMPY = False
     return _NUMPY
 
 
@@ -103,32 +122,38 @@ def requested() -> str:
 def backend() -> str:
     """The resolved backend: ``"python"`` or ``"numpy"``.
 
-    ``auto`` resolves to numpy exactly when numpy is importable;
-    an explicit ``numpy`` request without numpy installed is an error
-    rather than a silent slowdown.
+    An explicit ``numpy`` request imports numpy here, so a missing
+    numpy is an error at startup rather than a silent slowdown.
+    ``auto`` does not import it: it answers the outcome of an import
+    already tried, else whether numpy is installed.
     """
     req = requested()
     if req == "python":
         return "python"
-    if _import_numpy() is None:
-        if req == "numpy":
+    if req == "numpy":
+        if _import_numpy() is None:
             raise KernelsError(
                 "REPRO_KERNELS=numpy but numpy is not importable; "
                 "install the optional extra (pip install repro[numpy]) "
                 "or select REPRO_KERNELS=python"
             )
-        return "python"
-    return "numpy"
+        return "numpy"
+    return "numpy" if _numpy_installed() else "python"
 
 
 def numpy_or_none():
     """The numpy module when the resolved backend is numpy, else None.
 
-    The one-call dispatch test every integration site uses::
+    The one place numpy is imported.  Every kernel entry point calls
+    it only once its own size floor says the numpy path runs::
 
-        np = kernels.numpy_or_none()
-        if np is not None and <batch big enough>:
-            ... vectorized path ...
+        if <batch big enough>:
+            np = kernels.numpy_or_none()
+            if np is not None:
+                ... vectorized path ...
+
+    Under ``auto`` a failed import returns None, and :func:`backend`
+    reads python from then on.
     """
     return _import_numpy() if backend() == "numpy" else None
 

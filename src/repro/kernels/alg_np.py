@@ -37,9 +37,11 @@ _PAIR_CHUNK = 1 << 19
 
 def build_alg_edges_np(acquires: Sequence) -> Optional[DiGraph]:
     """``ALG`` over node indices, or ``None`` to decline."""
-    np = kernels.numpy_or_none()
     n = len(acquires)
-    if np is None or n < MIN_NODES:
+    if n < MIN_NODES:
+        return None
+    np = kernels.numpy_or_none()
+    if np is None:
         return None
     threads = np.fromiter((a.thread for a in acquires), np.int64, count=n)
     locks = np.fromiter((a.lock for a in acquires), np.int64, count=n)

@@ -104,18 +104,21 @@ def _ffill_before(np, after, starts, carries, order_n, unset=-1):
     return shifted[set_at]
 
 
-def extend_batch(index, np) -> bool:
+def extend_batch(index) -> bool:
     """Absorb ``[index._pos, len(compiled))`` vectorized.
 
-    Returns False (no side effects) to decline: batch too small, or a
-    trace anomaly that must surface through the python loop's exact
-    error path.
+    Returns False (no side effects) to decline: batch too small, numpy
+    not importable, or a trace anomaly that must surface through the
+    python loop's exact error path.
     """
     compiled = index.compiled
     ops_a, tids_a, targs_a = compiled.columns()
     lo, hi = index._pos, len(ops_a)
     n = hi - lo
     if n < MIN_BATCH:
+        return False
+    np = kernels.numpy_or_none()
+    if np is None:
         return False
 
     ops = np.frombuffer(ops_a, dtype=np.int8)[lo:hi]

@@ -200,13 +200,13 @@ class TraceIndex:
 
         # Vectorized derivation (repro.kernels): bit-identical columns,
         # one argsort-and-fill pass instead of the event loop.  The
-        # kernel declines (False, no side effects) on small batches and
-        # on trace anomalies, which must surface through this loop's
-        # exact TraceError path.
+        # kernel declines (False, no side effects) on small batches,
+        # when numpy fails to import, and on trace anomalies, which
+        # must surface through this loop's exact TraceError path.
         if kernels.backend() == "numpy":
             from repro.kernels.index_np import extend_batch
 
-            if extend_batch(self, kernels.numpy_or_none()):
+            if extend_batch(self):
                 if _t0:
                     obs.record_span("index.extend", _t0,
                                     time.monotonic_ns(),

@@ -180,8 +180,9 @@ class TestExplainCommand:
 class TestKernelsBackendExitCodes:
     """``--kernels numpy`` without numpy is a *usage* error (exit 2,
     one line) raised at startup — not a KernelsError surfacing as an
-    internal error (exit 3) halfway through a long run.  Subprocess
-    tests: the numpy availability probe is import-level state."""
+    internal error (exit 3) halfway through a long run, while ``auto``
+    runs the python path.  Subprocess tests: the numpy availability
+    probe is import-level state."""
 
     @staticmethod
     def _run(tmp_path, sigma2_file, backend):
@@ -220,3 +221,19 @@ class TestKernelsBackendExitCodes:
         proc = self._run(tmp_path, sigma2_file, "python")
         assert proc.returncode == 1, (proc.stdout, proc.stderr)  # findings
         assert "sync-preserving deadlock" in proc.stdout
+
+    def test_auto_with_broken_numpy_runs_python(self, tmp_path, sigma2_file):
+        # numpy's spec is found, so auto resolves to numpy until the
+        # first numpy dispatch tries the import; that failure falls back
+        # to the python path instead of surfacing.
+        import re
+
+        def untimed(out):
+            return re.sub(r" in \d+\.\d+s$", "", out, flags=re.M)
+
+        proc = self._run(tmp_path, sigma2_file, "auto")
+        ref = self._run(tmp_path, sigma2_file, "python")
+        assert proc.returncode == 1, (proc.stdout, proc.stderr)
+        assert "sync-preserving deadlock" in proc.stdout
+        assert untimed(proc.stdout) == untimed(ref.stdout)
+        assert "Traceback" not in proc.stderr

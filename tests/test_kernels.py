@@ -4,8 +4,10 @@ The pure-python implementations are the canonical semantics; the numpy
 kernels must be *bit-identical* to them — same reports, same stats,
 same derived columns, same checkpoint round-trips.  This suite proves
 it corpus-wide and over seeded random traces, and separately proves
-the python path works with numpy absent (the import is mocked away),
-so numpy stays an optional extra rather than a hard dependency.
+the python path works with numpy absent or broken (its spec and import
+are mocked), so numpy stays an optional extra rather than a hard
+dependency.  Fresh interpreters pin when numpy gets imported: at the
+first dispatch that takes a numpy path, not when ``auto`` resolves.
 
 SPDOnline starts every exact stream on the python closure and promotes
 to the numpy kernel at its ``PROMOTE_HISTORIES``-th (thread, lock)
@@ -479,31 +481,63 @@ class TestOfflineSortedUnique:
         assert proc.stdout.strip() == "False"
 
 
-# -- forced fallback: numpy absent -------------------------------------------
+# -- forced fallback: numpy absent or broken ---------------------------------
+
+
+def _is_numpy(name):
+    return name == "numpy" or name.startswith("numpy.")
+
+
+def _block_numpy_import(monkeypatch):
+    import builtins
+
+    real_import = builtins.__import__
+
+    def blocked(name, *args, **kw):
+        if _is_numpy(name):
+            raise ImportError("numpy is mocked away")
+        return real_import(name, *args, **kw)
+
+    monkeypatch.setattr(builtins, "__import__", blocked)
+
+
+def _fake_numpy_spec(monkeypatch, spec):
+    """``importlib.util.find_spec`` answers ``spec(name)`` for numpy,
+    and resets the kernels' memoized numpy probes (the patches and
+    ``monkeypatch`` restore them afterwards)."""
+    import importlib.util
+
+    real_find_spec = importlib.util.find_spec
+
+    def find_spec(name, *args, **kw):
+        if _is_numpy(name):
+            return spec(name)
+        return real_find_spec(name, *args, **kw)
+
+    monkeypatch.setattr(importlib.util, "find_spec", find_spec)
+    monkeypatch.setattr(kernels, "_NUMPY", None)
+    monkeypatch.setattr(kernels, "_HAVE_NUMPY", None)
+
+
+@pytest.fixture()
+def no_numpy(monkeypatch):
+    """numpy as an uninstalled package looks: no spec, no import."""
+    _block_numpy_import(monkeypatch)
+    _fake_numpy_spec(monkeypatch, lambda name: None)
+
+
+@pytest.fixture()
+def broken_numpy(monkeypatch):
+    """numpy installed but broken: its spec is found, its import raises."""
+    from importlib.machinery import ModuleSpec
+
+    _block_numpy_import(monkeypatch)
+    _fake_numpy_spec(monkeypatch, lambda name: ModuleSpec(name, None))
 
 
 class TestNumpyAbsent:
     """REPRO_KERNELS=python and auto-without-numpy must work with numpy
     uninstalled; an explicit numpy request must fail loudly."""
-
-    @pytest.fixture()
-    def no_numpy(self, monkeypatch):
-        import builtins
-
-        real_import = builtins.__import__
-
-        def blocked(name, *args, **kw):
-            if name == "numpy" or name.startswith("numpy."):
-                raise ImportError("numpy is mocked away")
-            return real_import(name, *args, **kw)
-
-        monkeypatch.setattr(builtins, "__import__", blocked)
-        monkeypatch.setattr(kernels, "_NUMPY", None)
-        monkeypatch.setattr(kernels, "_NUMPY_CHECKED", False)
-        yield
-        # memoization must not leak the mocked probe into later tests
-        kernels._NUMPY_CHECKED = False
-        kernels._NUMPY = None
 
     def test_auto_resolves_to_python(self, no_numpy):
         with kernels.use("auto"):
@@ -539,6 +573,201 @@ class TestNumpyAbsent:
             fell_back = offline_sig(trace)
         with kernels.use("python"):
             assert offline_sig(trace) == fell_back
+
+
+def wide_trace():
+    """16 threads x 8 locks, ~1.5k events: past every numpy size floor
+    (index batch, ALG nodes, online promotion)."""
+    return generate_random_trace(RandomTraceConfig(
+        num_threads=16, num_locks=8, num_vars=10, num_events=1500,
+        max_nesting=3, acquire_prob=0.35, release_prob=0.3, seed=11))
+
+
+class TestNumpyBroken:
+    """numpy installed but failing to import: ``auto`` reads numpy until
+    the first dispatch past a size floor tries the import, and python
+    from then on; every result equals forced python."""
+
+    def test_backend_turns_python_at_the_first_dispatch(self, broken_numpy):
+        comp = compile_trace(wide_trace())
+        assert len(comp) >= 256
+        before = kernels.counters()
+        with kernels.use("auto"):
+            assert kernels.backend() == "numpy"
+            TraceIndex(comp)
+            assert kernels.backend() == "python"
+            assert kernels.numpy_or_none() is None
+        after = kernels.counters()
+        key = "kernels.index_extend."
+        assert after.get(key + "python", 0) > before.get(key + "python", 0)
+        assert after.get(key + "numpy", 0) == before.get(key + "numpy", 0)
+
+    @pytest.mark.parametrize("sig", ["offline", "online", "fasttrack",
+                                     "index"])
+    def test_results_match_forced_python(self, broken_numpy, sig):
+        trace = wide_trace()
+        run = {
+            "offline": lambda: offline_sig(trace, max_size=2),
+            "online": lambda: online_sig(trace),
+            "fasttrack": lambda: fasttrack_sig(compile_trace(trace)),
+            "index": lambda: index_sig(compile_trace(trace)),
+        }[sig]
+        with kernels.use("auto"):
+            got = run()
+        with kernels.use("python"):
+            assert run() == got
+
+
+# -- lazy import, probed from fresh interpreters -----------------------------
+
+
+def fresh_json(body, env=None):
+    """Run ``body`` in a fresh interpreter (pytest has numpy loaded
+    already) and return the JSON its last stdout line prints."""
+    import json
+    import subprocess
+    import sys
+    import textwrap
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    full_env = dict(os.environ, PYTHONPATH=src)
+    full_env.pop("REPRO_KERNELS", None)
+    full_env.update(env or {})
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(body)],
+        capture_output=True, text=True, env=full_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@needs_numpy
+class TestLazyNumpyImport:
+    """Under ``auto`` numpy is imported at the first dispatch whose size
+    floor says the numpy path runs, not when the backend resolves."""
+
+    def test_resolving_auto_leaves_numpy_unloaded(self):
+        out = fresh_json("""
+            import json, sys
+            import repro.kernels as kernels
+            print(json.dumps([kernels.backend(), "numpy" in sys.modules]))
+        """)
+        assert out == ["numpy", False]
+
+    def test_narrow_stream_sessions_never_load_numpy(self):
+        """live_sessions' shape: an exact and a bounded StreamSession,
+        each with SPDOnline and FastTrack, over a 4 x 5 stream of 1,536
+        events; reports equal forced python's."""
+        out = fresh_json("""
+            import json, sys
+            import repro.kernels as kernels
+            from repro.core import SPDOnline
+            from repro.hb.fasttrack import FastTrack
+            from repro.stream import StreamSession
+            from repro.synth.random_traces import (
+                RandomTraceConfig, generate_random_trace)
+
+            events = list(generate_random_trace(RandomTraceConfig(
+                num_threads=4, num_locks=5, num_vars=8, num_events=1536,
+                acquire_prob=0.25, max_nesting=2, seed=3)))
+
+            def run():
+                sigs = []
+                for horizon in (None, 256):
+                    session = StreamSession("s", batch_size=32,
+                                            max_memory_events=horizon)
+                    spd = SPDOnline(max_memory_events=horizon)
+                    ft = FastTrack()
+                    session.attach(spd)
+                    session.attach(ft)
+                    for ev in events:
+                        session.append(ev.thread, ev.op, ev.target, ev.loc)
+                    session.close()
+                    sigs.append([
+                        [[r.first_event, r.second_event, list(r.locations)]
+                         for r in spd.reports],
+                        [[r.first_event, r.second_event, r.variable, r.kind]
+                         for r in ft.result.races]])
+                return sigs
+
+            auto = run()
+            backend, loaded = kernels.backend(), "numpy" in sys.modules
+            with kernels.use("python"):
+                python = run()
+            print(json.dumps({"events": len(events), "backend": backend,
+                              "numpy_loaded": loaded,
+                              "same": auto == python,
+                              "found": [[len(d), len(r)] for d, r in auto]}))
+        """)
+        assert out["events"] >= 1536
+        assert out["backend"] == "numpy"
+        assert out["numpy_loaded"] is False
+        assert out["same"] is True
+        # deadlocks and races in both sessions: the equality is not vacuous
+        assert all(n > 0 for found in out["found"] for n in found)
+
+    def test_wide_stream_loads_numpy_at_its_promoting_event(self):
+        out = fresh_json("""
+            import json, sys
+            from repro.core.spd_online import PROMOTE_HISTORIES, SPDOnline
+            from repro.synth.random_traces import (
+                RandomTraceConfig, generate_random_trace)
+
+            events = list(generate_random_trace(RandomTraceConfig(
+                num_threads=16, num_locks=8, num_vars=10, num_events=2000,
+                max_nesting=3, acquire_prob=0.35, release_prob=0.3,
+                seed=11)))
+            seen, expected = set(), None
+            for i, ev in enumerate(events):
+                if ev.is_acquire:
+                    seen.add((ev.thread, ev.target))
+                    if len(seen) == PROMOTE_HISTORIES:
+                        expected = i
+                        break
+            det, loaded_at = SPDOnline(), None
+            for i, ev in enumerate(events):
+                det.step(ev)
+                if loaded_at is None and "numpy" in sys.modules:
+                    loaded_at = i
+            print(json.dumps({"expected": expected,
+                              "loaded_at": loaded_at}))
+        """)
+        assert out["expected"] is not None
+        assert out["loaded_at"] == out["expected"]
+
+    def test_offline_loads_numpy_for_its_index(self):
+        out = fresh_json("""
+            import json, sys
+            import repro.kernels as kernels
+            from repro.core.spd_offline import spd_offline
+            from repro.synth.random_traces import (
+                RandomTraceConfig, generate_random_trace)
+            from repro.trace.compiled import compile_trace
+
+            comp = compile_trace(generate_random_trace(RandomTraceConfig(
+                num_threads=6, num_locks=8, num_vars=8, num_events=600,
+                acquire_prob=0.35, max_nesting=3, seed=2)))
+            before = "numpy" in sys.modules
+            spd_offline(comp, max_size=2)
+            print(json.dumps({
+                "events": len(comp), "before": before,
+                "after": "numpy" in sys.modules,
+                "index_numpy": kernels.counters().get(
+                    "kernels.index_extend.numpy", 0)}))
+        """)
+        assert out["events"] >= 256
+        assert out["before"] is False
+        assert out["after"] is True
+        assert out["index_numpy"] >= 1
+
+    def test_explicit_numpy_request_imports_at_resolution(self):
+        out = fresh_json("""
+            import json, sys
+            import repro.kernels as kernels
+            before = "numpy" in sys.modules
+            backend = kernels.backend()
+            print(json.dumps([before, backend, "numpy" in sys.modules]))
+        """, env={"REPRO_KERNELS": "numpy"})
+        assert out == [False, "numpy", True]
 
 
 # -- vc bulk join ------------------------------------------------------------

@@ -40,6 +40,7 @@ from tests.test_kernels import (
     both_backends,
     history_count,
     needs_numpy,
+    no_numpy,  # noqa: F401  (fixture)
     promote_at,
     promoted_both_backends,
     promotion_for_seed,
@@ -409,25 +410,7 @@ class TestDispatchAccounting:
 
 class TestNumpyAbsentRound2:
     """The round-2 integration sites must run cleanly with numpy
-    mocked away (auto resolves to python)."""
-
-    @pytest.fixture()
-    def no_numpy(self, monkeypatch):
-        import builtins
-
-        real_import = builtins.__import__
-
-        def blocked(name, *args, **kw):
-            if name == "numpy" or name.startswith("numpy."):
-                raise ImportError("numpy is mocked away")
-            return real_import(name, *args, **kw)
-
-        monkeypatch.setattr(builtins, "__import__", blocked)
-        monkeypatch.setattr(kernels, "_NUMPY", None)
-        monkeypatch.setattr(kernels, "_NUMPY_CHECKED", False)
-        yield
-        kernels._NUMPY_CHECKED = False
-        kernels._NUMPY = None
+    mocked away as uninstalled (auto resolves to python)."""
 
     def test_round2_paths_run_without_numpy(self, no_numpy):
         trace = load_trace(os.path.join(CORPUS, "sigma2.std"))

@@ -42,10 +42,12 @@ def run_script(body: str, timeout: float = 120.0) -> dict:
 class TestWarmParent:
     def test_pool_preloads_each_detector_closure(self, tmp_path):
         """After a pool run the parent holds every module of each
-        detector's closure, and no forked cell imports a ``repro``
+        detector's closure, and numpy when the kernel backend resolves
+        to it, and no forked cell imports a ``repro`` or ``numpy``
         module its parent lacked."""
         out = run_script(f"""
             import repro.exp.runner as runner
+            import repro.kernels as kernels
             from repro.exp.cache import detector_modules
 
             side = {str(tmp_path)!r}
@@ -55,7 +57,7 @@ class TestWarmParent:
                 before = set(sys.modules)
                 res = plain(task)
                 new = sorted(m for m in set(sys.modules) - before
-                             if m.split(".")[0] == "repro")
+                             if m.split(".")[0] in ("repro", "numpy"))
                 path = os.path.join(side, f"{{task.index}}.json")
                 with open(path, "w") as fh:
                     json.dump(new, fh)
@@ -68,6 +70,7 @@ class TestWarmParent:
                          detectors=[DetectorSpec(name=n) for n in names],
                          include_stats=False)
             run = runner.ProcessPoolRunner(jobs=2).run(c)
+            parent_numpy = "numpy" in sys.modules
             imported = {{}}
             for fn in os.listdir(side):
                 with open(os.path.join(side, fn)) as fh:
@@ -77,6 +80,8 @@ class TestWarmParent:
                 "missing": {{n: [m for m in detector_modules(n)
                                 if m not in sys.modules] for n in names}},
                 "closure_sizes": [len(detector_modules(n)) for n in names],
+                "parent_numpy": parent_numpy,
+                "numpy_backend": kernels.backend() == "numpy",
                 "cell_imports": imported,
             }}))
         """)
@@ -84,6 +89,7 @@ class TestWarmParent:
         assert all(out["closure_sizes"])
         assert out["missing"] == {"spd_offline": [], "spd_online": [],
                                   "fasttrack": []}
+        assert out["parent_numpy"] == out["numpy_backend"]
         assert len(out["cell_imports"]) == 9
         assert all(mods == [] for mods in out["cell_imports"].values()), (
             out["cell_imports"])
