@@ -36,6 +36,14 @@ python -m pytest -x -q
 echo "-- backend: python (pure-python reference path forced) --"
 REPRO_KERNELS=python python -m pytest -x -q
 
+echo "== runner leak check (dev mode: a file left unclosed, such as a cell's"
+echo "   result or stderr file, fails the step; tests/test_pool.py also"
+echo "   counts the parent's fds and live workers around each pool run) =="
+python -X dev -m pytest -q -W error::ResourceWarning \
+    -W error::pytest.PytestUnraisableExceptionWarning \
+    tests/test_pool.py tests/test_chaos.py tests/test_exp.py \
+    tests/test_resilience.py
+
 echo "== examples (each under both kernel backends; any non-zero exit fails) =="
 for example in examples/*.py; do
     for kernels in auto python; do

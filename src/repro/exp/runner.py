@@ -7,28 +7,31 @@ differ only in *where* the cell runs:
 - :class:`InlineRunner` executes cells in-process (debuggable with a
   plain ``pdb``/profiler; timeouts enforced via ``SIGALRM`` when
   running on the main thread of a Unix process, best-effort otherwise);
-- :class:`ProcessPoolRunner` fans cells across ``jobs`` forked worker
-  processes.  Each cell gets its own process, so a segfaulting or
-  OOM-killed detector records ``status="error"`` for its cell and
-  never takes down the campaign, and a wall-clock ``timeout`` is
-  enforced by killing the worker (``status="timeout"``).  Under
-  ``fork`` the parent preloads the modules its cells' detectors
-  import (and numpy, when the kernel backend resolves to it), so no
-  cell pays for them, and the scheduler sleeps until a worker exits,
-  a deadline or retry backoff expires, or a signal lands — no
-  polling.
+- :class:`ProcessPoolRunner` fans cells across ``jobs`` workers per
+  run, replaced after a crash or timeout.  Each worker runs one cell
+  at a time, sent over its own pipe, so a segfaulting or OOM-killed
+  detector records ``status="error"`` for its cell alone and never
+  takes down the campaign, and a wall-clock ``timeout`` is enforced
+  by killing the worker (``status="timeout"``).  Before each cell a
+  worker resets its :mod:`repro.faults` fire counts and re-arms
+  :mod:`repro.obs`, so both stay per cell attempt.  Under ``fork``
+  the parent preloads the modules its cells' detectors import (and
+  numpy, when the kernel backend resolves to it), so no cell pays for
+  them, and the scheduler sleeps until a worker replies or exits, a
+  deadline or retry backoff expires, or a signal lands — no polling.
 
 Either way a cell's clock starts after its detector's modules are
 imported: one-time imports never count as detector time.
 
 Workers hand results back through per-cell JSON files written
-atomically into a private temp directory — no pipe buffering limits,
-and a worker that dies mid-cell simply leaves no file, which the
-parent records as the crash it was.  Worker stderr is captured per
-attempt, so crash diagnostics include the tool's last words.  Results
-always come back in campaign cell order regardless of completion
-order, so parallel and serial runs are cell-for-cell comparable
-(modulo timing fields, which :meth:`CellResult.comparable` strips).
+atomically into a private temp directory — no pipe buffering limits
+(the pipe carries only the task and a short reply), and a worker that
+dies mid-cell simply leaves no file, which the parent records as the
+crash it was.  Worker stderr is captured per attempt, so crash
+diagnostics include the tool's last words.  Results always come back
+in campaign cell order regardless of completion order, so parallel
+and serial runs are cell-for-cell comparable (modulo timing fields,
+which :meth:`CellResult.comparable` strips).
 
 Fault tolerance (:mod:`repro.exp.resilience`) is threaded through both
 runners identically:
@@ -40,10 +43,10 @@ runners identically:
 - every attempt and every final outcome is appended to the run's
   crash-safe journal, and ``resume`` replays journaled outcomes so an
   interrupted run re-executes only the remainder;
-- SIGINT/SIGTERM *drain*: in-flight workers finish and are journaled,
-  unstarted cells are skipped, and the partial, loadable
-  :class:`RunResult` comes back with ``interrupted=True``.  A second
-  signal force-aborts.
+- SIGINT/SIGTERM *drain*: in-flight cells finish and are journaled,
+  idle workers are told to exit, unstarted cells are skipped, and the
+  partial, loadable :class:`RunResult` comes back with
+  ``interrupted=True``.  A second signal force-aborts.
 """
 
 from __future__ import annotations
@@ -93,6 +96,10 @@ _CACHEABLE = (STATUS_OK, STATUS_TIMEOUT)
 
 #: how much captured worker stderr survives into diagnostics.
 _STDERR_TAIL_BYTES = 2048
+
+#: how long a pool worker told to exit may take before it is killed
+#: (an idle worker exits at once; this only bounds a wedged one).
+_EXIT_GRACE_S = 5.0
 
 
 @dataclass
@@ -657,41 +664,119 @@ class InlineRunner(_BaseRunner):
         return interrupted
 
 
-def _worker_main(task: CellTask, out_path: str, err_path: str) -> None:
+def _redirect_stderr(err_path: str) -> None:
+    """Point fd 2 at ``err_path``; the previous cell's last words are
+    flushed into its own file first."""
+    try:
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        pass
     try:
         fd = os.open(err_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
         os.dup2(fd, 2)
         os.close(fd)
-        # rebind the Python-level stream too: the inherited sys.stderr
-        # may wrap something other than fd 2 (a capturing test harness,
-        # an io redirect), and the tool's last words must land in the
-        # err file either way
-        sys.stderr = os.fdopen(2, "w", closefd=False)
     except OSError:
         pass                        # diagnostics are best-effort
-    # Never write the parent's span log from a child: re-arm telemetry
-    # as in-memory collection; spans travel in the result's rollup.
-    obs.reset_for_worker()
-    res = run_cell(task)
-    tmp = out_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(res.to_json(), fh)
-    os.replace(tmp, out_path)
+
+
+def _worker_main(conn, inherited) -> None:
+    """A pool worker: run each ``(task, out_path, err_path)`` the parent
+    sends over ``conn`` and reply once its result file is in place;
+    exit on ``None`` or a closed pipe.
+
+    ``inherited`` holds the parent's ends of every worker pipe a forked
+    child got a copy of; closing them lets a worker see EOF, and exit,
+    if the parent dies without saying so.
+    """
+    for end in inherited:
+        end.close()
+    # rebind the Python-level stream to fd 2: the inherited sys.stderr
+    # may wrap something other than fd 2 (a capturing test harness, an
+    # io redirect), and each tool's last words must land in its cell's
+    # err file either way
+    try:
+        sys.stderr = os.fdopen(2, "w", closefd=False)
+    except OSError:
+        pass                        # no fd 2: diagnostics are best-effort
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:
+            return
+        if job is None:
+            return
+        task, out_path, err_path = job
+        _redirect_stderr(err_path)
+        # per-cell state, as if each cell had a process of its own:
+        # fault specs fire ``count`` times per attempt, and telemetry
+        # re-arms as in-memory collection (never the parent's span
+        # log); spans travel in the result's rollup
+        faults.reset_counts()
+        obs.reset_for_worker()
+        res = run_cell(task)
+        sys.stderr.flush()              # the parent reads the tail next
+        tmp = out_path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(res.to_json(), fh)
+        os.replace(tmp, out_path)
+        conn.send(task.index)
+
+
+class _Worker:
+    """The parent's handle on one pool worker and its in-flight cell."""
+
+    __slots__ = ("proc", "conn", "job")
+
+    def __init__(self, proc, conn) -> None:
+        self.proc = proc
+        self.conn = conn
+        #: (task, deadline, out_path, err_path, start_ns) while busy
+        self.job: Optional[tuple] = None
+
+    def retire(self) -> None:
+        """Tell an idle worker to exit (reap it next)."""
+        try:
+            self.conn.send(None)
+        except OSError:
+            pass                        # already gone
+
+    def reap(self) -> Optional[int]:
+        """Wait for the process to end, SIGKILLing it if a retired
+        worker outstays :data:`_EXIT_GRACE_S`; release its fds and
+        return its exit code."""
+        self.proc.join(_EXIT_GRACE_S)
+        if self.proc.exitcode is None:
+            self.proc.kill()
+            self.proc.join()
+        code = self.proc.exitcode
+        self.proc.close()
+        self.conn.close()
+        return code
 
 
 class ProcessPoolRunner(_BaseRunner):
-    """Fan cells across ``jobs`` worker processes (one process per
-    cell: full crash isolation, enforceable wall-clock timeouts).
+    """Fan cells across ``jobs`` worker processes per run, replaced
+    after a crash or timeout: full crash isolation, enforceable
+    wall-clock timeouts.
+
+    Workers start at the run's first cache miss, no more than ``jobs``
+    and no more than the misses need, and each runs one cell at a time
+    sent over its own pipe.  They exit when the run returns, so every
+    run sees the ``REPRO_OBS``/``REPRO_FAULTS`` it starts with.  A
+    worker that dies mid-cell ends only that cell (``status="error"``
+    with its stderr tail); one past its cell's deadline is SIGKILLed
+    (``status="timeout"``); either way a fresh worker takes the
+    remaining cells.
 
     Under the ``fork`` start method the parent first imports every
     module the campaign's detectors import, and numpy when the kernel
     backend resolves to it (once per process, under a ``pool.preload``
-    span), so forked cells inherit them instead of importing them on
-    their own clocks.  The scheduler then sleeps in
-    :func:`multiprocessing.connection.wait` until a worker exits, the
-    nearest cell deadline or retry backoff expires, or SIGINT/SIGTERM
-    arrives (the signal's wake-up byte lands on a self-pipe the wait
-    includes).
+    span), so forked workers inherit them instead of importing them on
+    a cell's clock.  The scheduler then sleeps in
+    :func:`multiprocessing.connection.wait` until a worker replies or
+    exits, the nearest cell deadline or retry backoff expires, or
+    SIGINT/SIGTERM arrives (the signal's wake-up byte lands on a
+    self-pipe the wait includes).
     """
 
     def __init__(self, jobs: int = 2, start_method: Optional[str] = None) -> None:
@@ -704,14 +789,34 @@ class ProcessPoolRunner(_BaseRunner):
         self._ctx = multiprocessing.get_context(start_method)
         self._stop = False
 
+    def _start_worker(self, workers: List[_Worker]) -> _Worker:
+        ours, theirs = self._ctx.Pipe()
+        # a forked child holds copies of the parent's pipe ends; spawned
+        # ones get only what their arguments carry
+        inherited = ((*(w.conn for w in workers), ours)
+                     if self._ctx.get_start_method() == "fork" else ())
+        proc = self._ctx.Process(target=_worker_main,
+                                 args=(theirs, inherited), daemon=True)
+        try:
+            proc.start()
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        obs.count("pool.workers_started")
+        return _Worker(proc, ours)
+
     def _execute(self, tasks, on_result) -> bool:
         from multiprocessing.connection import wait
 
+        self._stop = False
+        if not tasks:
+            return False
         results_done = 0
         pending: List[CellTask] = list(tasks)
         delayed: List[Tuple[float, CellTask]] = []   # (ready time, task)
-        running: Dict = {}   # proc -> (task, deadline, out_path, err_path)
-        self._stop = False
+        workers: List[_Worker] = []
         if self._ctx.get_start_method() == "fork":
             with obs.span("pool.preload", cat="pool"):
                 _preload(sorted({t.detector.name for t in pending}))
@@ -741,9 +846,29 @@ class ProcessPoolRunner(_BaseRunner):
             for t in pending:
                 enq_ns[(t.index, t.attempt)] = t_ready
 
-        def handle(task: CellTask, res: CellResult, stderr_tail: str) -> None:
+        def settle(job: tuple, exitcode: Optional[int] = None,
+                   timed_out: bool = False) -> None:
+            """Report a finished, crashed (``exitcode``) or timed-out
+            attempt, and schedule the retry it earns."""
             nonlocal results_done
-            _, retry = on_result(task, res, stderr_tail=stderr_tail,
+            task, _, out_path, err_path, start_ns = job
+            tail = _stderr_tail(err_path)
+            res = (_timeout_result(task) if timed_out
+                   else self._collect(task, out_path, exitcode, tail))
+            if start_ns:
+                obs.record_span("pool.exec", start_ns, time.monotonic_ns(),
+                                cat="pool", cell=task.index,
+                                status=res.status)
+                if res.obs:
+                    # the worker collected in memory; fold its spans and
+                    # counter deltas into the parent's log/snapshot so
+                    # run-level telemetry covers pool runs too
+                    if res.obs.get("spans"):
+                        obs.emit_spans(res.obs["spans"])
+                    for name, delta in (res.obs.get("counters")
+                                        or {}).items():
+                        obs.count(name, delta)
+            _, retry = on_result(task, res, stderr_tail=tail,
                                  stop=self._stop)
             if retry is not None:
                 delay, next_task = retry
@@ -756,10 +881,15 @@ class ProcessPoolRunner(_BaseRunner):
                 results_done += 1
 
         try:
-            while running or ((pending or delayed) and not self._stop):
+            while (any(w.job for w in workers)
+                   or ((pending or delayed) and not self._stop)):
                 if self._stop:
                     pending.clear()
                     delayed.clear()
+                    for w in [w for w in workers if w.job is None]:
+                        workers.remove(w)
+                        w.retire()
+                        w.reap()
                 now = time.monotonic()
                 if delayed:
                     ready = [t for t in delayed if t[0] <= now]
@@ -772,21 +902,30 @@ class ProcessPoolRunner(_BaseRunner):
                         # deterministic re-queue order: by cell index
                         pending.extend(t for _, t in
                                        sorted(ready, key=lambda r: r[1].index))
-                while pending and len(running) < self.jobs:
-                    task = pending.pop(0)
+                while pending:
+                    w = next((w for w in workers if w.job is None), None)
+                    if w is None:
+                        if len(workers) >= self.jobs:
+                            break
+                        w = self._start_worker(workers)
+                        workers.append(w)
+                    task = pending[0]
                     stem = os.path.join(
                         tmpdir, f"cell-{task.index}-a{task.attempt}")
                     out_path = stem + ".json"
                     err_path = stem + ".stderr"
-                    proc = self._ctx.Process(
-                        target=_worker_main, args=(task, out_path, err_path),
-                        daemon=True,
-                    )
-                    proc.start()
+                    try:
+                        w.conn.send((task, out_path, err_path))
+                    except OSError:
+                        # it died idle: reap it, the cell goes elsewhere
+                        workers.remove(w)
+                        w.reap()
+                        obs.count("pool.worker_crashes")
+                        continue
+                    pending.pop(0)
                     start_ns = 0
                     if _obs_on:
                         start_ns = time.monotonic_ns()
-                        obs.count("pool.workers_started")
                         ready_at = enq_ns.pop((task.index, task.attempt),
                                               start_ns)
                         obs.record_span("pool.queue_wait", ready_at,
@@ -797,64 +936,57 @@ class ProcessPoolRunner(_BaseRunner):
                     deadline = (time.monotonic() + task.timeout
                                 if task.timeout is not None and task.timeout > 0
                                 else None)
-                    running[proc] = (task, deadline, out_path, err_path,
-                                     start_ns)
+                    w.job = (task, deadline, out_path, err_path, start_ns)
 
                 faults.fire("pool_tick", done=results_done)
-                # sleep until a worker exits, a signal lands, or the
-                # nearest deadline / retry backoff expires
-                wake_at = [r[1] for r in running.values() if r[1] is not None]
+                # sleep until a worker replies or exits, a signal lands,
+                # or the nearest deadline / retry backoff expires
+                wake_at = [w.job[1] for w in workers
+                           if w.job is not None and w.job[1] is not None]
                 wake_at.extend(t for t, _ in delayed)
                 timeout = (max(0.0, min(wake_at) - time.monotonic())
                            if wake_at else None)
-                ready = wait([p.sentinel for p in running] + [wake_r], timeout)
+                ready = wait([w.conn for w in workers]
+                             + [w.proc.sentinel for w in workers] + [wake_r],
+                             timeout)
                 if wake_r in ready:
                     os.read(wake_r, 512)
                 now = time.monotonic()
-                finished = []
-                for proc, (task, deadline, out_path, err_path,
-                           start_ns) in list(running.items()):
-                    if proc.sentinel in ready:
-                        finished.append(proc)
-                    elif deadline is not None and now >= deadline:
+                for w in list(workers):
+                    job = w.job
+                    dead = w.proc.sentinel in ready
+                    if w.conn in ready:
+                        try:
+                            w.conn.recv()
+                        except (EOFError, OSError):
+                            dead = True          # died before replying
+                        else:
+                            w.job = None
+                            settle(job)
+                            job = None
+                    if dead:
+                        workers.remove(w)
+                        exitcode = w.reap()
+                        obs.count("pool.worker_crashes")
+                        if job is not None:
+                            settle(job, exitcode=exitcode)
+                    elif (job is not None and job[1] is not None
+                          and now >= job[1]):
                         # SIGKILL outright: a forked worker inherits the
                         # drain handler above, which makes SIGTERM a no-op
-                        proc.kill()
-                        proc.join()
-                        running.pop(proc)
-                        if start_ns:
-                            obs.record_span("pool.exec", start_ns,
-                                            time.monotonic_ns(), cat="pool",
-                                            cell=task.index, status="timeout")
-                            obs.count("pool.timeouts")
-                        handle(task, _timeout_result(task),
-                               _stderr_tail(err_path))
-                for proc in finished:
-                    task, _, out_path, err_path, start_ns = running.pop(proc)
-                    proc.join()
-                    tail = _stderr_tail(err_path)
-                    res = self._collect(task, out_path, proc.exitcode, tail)
-                    if start_ns:
-                        obs.record_span("pool.exec", start_ns,
-                                        time.monotonic_ns(), cat="pool",
-                                        cell=task.index, status=res.status)
-                        if res.status == STATUS_ERROR and res.output is None:
-                            obs.count("pool.worker_crashes")
-                        if res.obs:
-                            # the worker collected in memory; fold its
-                            # spans and counter deltas into the parent's
-                            # log/snapshot so run-level telemetry covers
-                            # pool runs too
-                            if res.obs.get("spans"):
-                                obs.emit_spans(res.obs["spans"])
-                            for name, delta in (res.obs.get("counters")
-                                                or {}).items():
-                                obs.count(name, delta)
-                    handle(task, res, tail)
+                        w.proc.kill()
+                        workers.remove(w)
+                        w.reap()
+                        obs.count("pool.timeouts")
+                        settle(job, timed_out=True)
         finally:
-            for proc in running:
-                proc.kill()
-                proc.join()
+            for w in workers:
+                if w.job is None:
+                    w.retire()
+                else:
+                    w.proc.kill()
+            for w in workers:
+                w.reap()
             shutil.rmtree(tmpdir, ignore_errors=True)
             if old_wakeup is not None:
                 signal.set_wakeup_fd(old_wakeup)
@@ -867,17 +999,10 @@ class ProcessPoolRunner(_BaseRunner):
     @staticmethod
     def _collect(task: CellTask, out_path: str, exitcode: Optional[int],
                  stderr_tail: str = "") -> CellResult:
+        # a worker that died after writing its result file, before it
+        # could reply, still counts as done if the record is complete
         try:
             with open(out_path, "r", encoding="utf-8") as fh:
-                rec = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+                return CellResult.from_json(task.index, json.load(fh))
+        except (OSError, json.JSONDecodeError, KeyError):
             return _crash_result(task, exitcode, stderr_tail)
-        if exitcode != 0:
-            # result file exists but the worker still died (e.g. crash
-            # during interpreter teardown) — trust the recorded result
-            # only if it is complete.
-            try:
-                return CellResult.from_json(task.index, rec)
-            except KeyError:
-                return _crash_result(task, exitcode, stderr_tail)
-        return CellResult.from_json(task.index, rec)

@@ -44,8 +44,12 @@ Actions:
 
 A spec fires when its ``point`` matches and every key of its ``when``
 dict equals the corresponding :func:`fire` context value, at most
-``count`` times (default 1) per process — so "crash attempt 1 of cell
-3" fires exactly once and the retry proceeds undisturbed.
+``count`` times (default 1) — so "crash attempt 1 of cell 3" fires
+exactly once and the retry proceeds undisturbed.  The count is per
+cell attempt in a process-pool worker (which calls
+:func:`reset_counts` before each cell it runs) and per process
+everywhere else, :class:`~repro.exp.runner.InlineRunner` runs
+included.
 """
 
 from __future__ import annotations
@@ -127,6 +131,13 @@ def install(specs: List[dict]) -> None:
 def clear() -> None:
     """Deactivate injection (removes :data:`ENV_VAR`)."""
     os.environ.pop(ENV_VAR, None)
+
+
+def reset_counts() -> None:
+    """Forget how often each spec has fired in this process (a pool
+    worker calls this before every cell attempt)."""
+    global _parsed
+    _parsed = None
 
 
 def _matches(spec: dict, ctx: Dict) -> bool:

@@ -209,12 +209,13 @@ def maybe_enable_from_env() -> bool:
 
 
 def reset_for_worker() -> None:
-    """Re-arm telemetry inside a pool worker.
+    """Re-arm telemetry inside a pool worker (before each of its cells).
 
     Forked children inherit the parent's state — including its open
     span-log handle, whose buffered writes would tear the shared file.
-    Workers therefore always collect in memory; their spans travel in
-    the per-cell rollup through the result channel.
+    Workers therefore always collect in memory, starting afresh for
+    every cell; their spans travel in the per-cell rollup through the
+    result channel.
     """
     global _state
     if _state is not None:
@@ -532,8 +533,14 @@ class _CellScope:
 
 def cell_scope(**args) -> _CellScope:
     """Scope one campaign cell: spans recorded inside are captured and
-    counter/cpu/RSS deltas summarized into ``.rollup`` on exit (``None``
-    when telemetry is disabled)."""
+    counter/cpu deltas summarized into ``.rollup`` on exit (``None``
+    when telemetry is disabled).
+
+    The rollup's ``max_rss_kb`` is the high-water mark so far of the
+    process that ran the cell — a pool worker that may have run earlier
+    cells of the run, or the :class:`~repro.exp.runner.InlineRunner`
+    process — not the cell's own peak.
+    """
     return _CellScope(args)
 
 

@@ -238,6 +238,27 @@ class TestChaosBitIdentity:
         execs = [s for s in spans if s["name"] == "pool.exec"]
         assert len(execs) == 3                   # ok, crash, retry-ok
 
+    def test_fault_counts_are_per_cell_attempt(self, monkeypatch):
+        """A pool worker runs many cells, yet a spec's ``count`` stays
+        per cell attempt: a once-only ``raise`` keyed on the detector
+        alone fails every spd_offline attempt, so each such cell ends
+        quarantined, while fasttrack cells in the same workers pass."""
+        monkeypatch.setenv(faults.ENV_VAR, json.dumps(
+            [{"point": "cell", "action": "raise",
+              "when": {"detector": "spd_offline"}}]))
+        run = ProcessPoolRunner(jobs=2).run(campaign(
+            [DetectorSpec(name="spd_offline"), DetectorSpec(name="fasttrack")],
+            traces=("sigma2", "non_well_nested", "picklock"),
+            retry={"max_attempts": 2, "retry_on": ["fault"],
+                   "backoff": 0.0, "jitter": 0.0}))
+        assert len(run.results) == 6
+        for r in run.results:
+            if r.detector_id == "spd_offline":
+                assert r.status == "quarantined", r.trace_name
+                assert [a["status"] for a in r.attempts] == ["fault", "fault"]
+            else:
+                assert r.status == "ok", r.trace_name
+
     @pytest.mark.fuzz
     def test_fuzz_seeded_fault_sweep(self, monkeypatch):
         """Nightly-style sweep: REPRO_FUZZ_ITERS seeded injections

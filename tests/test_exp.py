@@ -356,7 +356,8 @@ class TestCacheKeyPortability:
     def test_changed_content_changes_the_key(self, tmp_path):
         src = os.path.join(CORPUS, "sigma2.std")
         copy = tmp_path / "trace.std"
-        copy.write_bytes(open(src, "rb").read() + b"\n")
+        with open(src, "rb") as fh:
+            copy.write_bytes(fh.read() + b"\n")
 
         def cell(path):
             return Campaign(
@@ -465,7 +466,8 @@ only = ["sigma2"]
         (tmp_path / "corpus").mkdir()
         for n in ("sigma1", "sigma2"):
             src = os.path.join(CORPUS, f"{n}.std")
-            (tmp_path / "corpus" / f"{n}.std").write_text(open(src).read())
+            with open(src) as fh:
+                (tmp_path / "corpus" / f"{n}.std").write_text(fh.read())
         spec = tmp_path / "c.toml"
         spec.write_text(self.TOML.format())
         c = load_campaign(str(spec))
@@ -644,14 +646,16 @@ class TestBenchCli:
                      "-j", "2", "--out", out, "--quiet"]) == 0
         first = capsys.readouterr().out
         assert "Table 2" in first and "sigma2" in first
-        record = json.load(open(os.path.join(out, "run.json")))
+        with open(os.path.join(out, "run.json")) as fh:
+            record = json.load(fh)
         assert record["cache_hits"] == 0
 
         # second run: everything served from the cache
         assert main(["bench", "run", "--campaign", campaign_file,
                      "-j", "2", "--out", out, "--quiet"]) == 0
         capsys.readouterr()
-        record2 = json.load(open(os.path.join(out, "run.json")))
+        with open(os.path.join(out, "run.json")) as fh:
+            record2 = json.load(fh)
         assert record2["cache_hits"] == record2["num_cells"]
 
         # report re-renders, diff of the two runs is clean (exit 0)

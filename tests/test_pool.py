@@ -1,4 +1,5 @@
-"""The process pool's warm parent and its event-driven scheduler.
+"""The process pool: its warm parent, its event-driven scheduler and
+its per-run workers.
 
 Every test runs its campaign in a fresh interpreter: what a cell has to
 import depends on what its process already loaded, and the pytest
@@ -11,6 +12,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 CORPUS = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "corpus"))
@@ -229,3 +231,167 @@ class TestScheduler:
         assert out["statuses"] == ["ok", "ok"]
         # 2 starts + 2 exits bound the wake-ups; wall time does not
         assert 1 <= len(out["ticks"]) <= 5, out["ticks"]
+
+
+class TestWorkerLifecycle:
+    def test_workers_live_for_one_run(self):
+        """Workers start with the run's first cache miss, are replaced
+        after a crash, and are gone, with every pipe end and fd they
+        used, once ``run()`` returns: after a clean run, a crashing
+        cell, a timed-out cell and a SIGINT drain alike."""
+        out = run_script("""
+            import multiprocessing
+            import repro.faults as faults
+            import repro.obs as obs
+            from repro.exp.runner import ProcessPoolRunner
+
+            os.environ[obs.ENV_VAR] = "1"
+            obs.maybe_enable_from_env()
+
+            def build(**kw):
+                return Campaign(
+                    name="life",
+                    traces=corpus("sigma2", "picklock", "stringbuffer"),
+                    detectors=[DetectorSpec(name="spd_offline", **kw),
+                               DetectorSpec(name="fasttrack", **kw)],
+                    include_stats=False)
+
+            def started():
+                return obs.snapshot()["counters"].get(
+                    "pool.workers_started", 0)
+
+            runs = {}
+            for label, spec, kw in (
+                    ("clean", None, {}),
+                    ("crash", {"point": "cell", "action": "crash",
+                               "when": {"index": 0}}, {}),
+                    ("timeout", {"point": "cell", "action": "stall",
+                                 "delay": 30.0, "when": {"index": 0}},
+                     {"timeout": 0.5}),
+                    ("drain", {"point": "pool_tick", "action": "sigint"},
+                     {})):
+                faults.clear()
+                if spec is not None:
+                    faults.install([spec])
+                fds = len(os.listdir("/proc/self/fd"))
+                n0 = started()
+                run = ProcessPoolRunner(jobs=2).run(build(**kw))
+                runs[label] = {
+                    "statuses": [r.status for r in run.results],
+                    "interrupted": run.interrupted,
+                    "fds": len(os.listdir("/proc/self/fd")) - fds,
+                    "children": len(multiprocessing.active_children()),
+                    "started": started() - n0,
+                }
+            print(json.dumps(runs))
+        """)
+        for label, run in out.items():
+            assert run["fds"] == 0, (label, run)
+            assert run["children"] == 0, (label, run)
+        assert out["clean"]["statuses"] == ["ok"] * 6
+        assert out["clean"]["started"] == 2
+        assert out["crash"]["statuses"] == ["error"] + ["ok"] * 5
+        assert out["crash"]["started"] == 3          # jobs + 1 replacement
+        assert out["timeout"]["statuses"] == ["timeout"] + ["ok"] * 5
+        # the first tick drains: both in-flight cells finish, none start
+        assert out["drain"]["interrupted"]
+        assert out["drain"]["statuses"] == ["ok", "ok"]
+
+
+    def test_workers_exit_when_the_parent_dies(self, tmp_path):
+        """A parent SIGKILLed mid-run leaves no worker behind: each one
+        finds its pipe closed once its cell ends, and exits."""
+        script = PRELUDE + textwrap.dedent("""
+            from repro.exp.runner import ProcessPoolRunner
+
+            c = Campaign(name="orphans", traces=corpus("sigma2"),
+                         detectors=[DetectorSpec(name="_sleep", id=f"s{i}",
+                                                 config={"seconds": 0.3})
+                                    for i in range(20)],
+                         include_stats=False)
+            ProcessPoolRunner(jobs=2).run(c)
+        """)
+        env = dict(os.environ, PYTHONPATH=SRC, TMPDIR=str(tmp_path))
+        env.pop("REPRO_FAULTS", None)
+        env.pop("REPRO_OBS", None)
+        parent = subprocess.Popen([sys.executable, "-c", script], env=env)
+        try:
+            deadline = time.monotonic() + 60
+            workers = []
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = _children_of(parent.pid)
+        finally:
+            parent.kill()
+            parent.wait()
+        assert len(workers) == 2
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+
+
+def _stat(pid: int):
+    """``(state, ppid)`` of a live or zombie process, else None."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _children_of(pid: int):
+    return [int(d) for d in os.listdir("/proc")
+            if d.isdigit() and (_stat(int(d)) or (None, None))[1] == pid]
+
+
+def _running(pid: int) -> bool:
+    st = _stat(pid)
+    return st is not None and st[0] not in ("Z", "X")
+
+
+class TestSpawn:
+    def test_spawned_workers_match_inline(self):
+        """Under ``spawn`` (the start method where ``fork`` is missing)
+        real detectors match ``InlineRunner`` cell for cell, a crashing
+        cell ends ``error`` with its own stderr tail, a stalled one
+        ``timeout``, and no worker outlives the run."""
+        out = run_script("""
+            import multiprocessing
+            from repro.exp.runner import InlineRunner, ProcessPoolRunner
+
+            traces = corpus("sigma2", "picklock", "stringbuffer",
+                            "non_well_nested")
+            real = [DetectorSpec(name=n)
+                    for n in ("spd_offline", "spd_online", "fasttrack")]
+            debug = [DetectorSpec(name="_crash", config={"code": 139}),
+                     DetectorSpec(name="_sleep", config={"seconds": 30.0},
+                                  timeout=0.5)]
+
+            def build(detectors):
+                return Campaign(name="spawn", traces=traces,
+                                detectors=detectors, include_stats=False)
+
+            pool = ProcessPoolRunner(jobs=2, start_method="spawn").run(
+                build(real + debug))
+            inline = InlineRunner().run(build(real))
+            ids = {d.id for d in real}
+            print(json.dumps({
+                "pool": [r.comparable() for r in pool.results
+                         if r.detector_id in ids],
+                "inline": [r.comparable() for r in inline.results],
+                "debug": sorted([r.detector_id, r.status,
+                                 "about to _exit" in (r.error or "")]
+                                for r in pool.results
+                                if r.detector_id not in ids),
+                "children": len(multiprocessing.active_children()),
+            }))
+        """)
+        assert len(out["inline"]) == 12
+        assert out["pool"] == out["inline"]
+        # each crash carries its own stderr tail, though its worker
+        # may have run other cells before
+        assert out["debug"] == ([["_crash", "error", True]] * 4
+                                + [["_sleep", "timeout", False]] * 4)
+        assert out["children"] == 0

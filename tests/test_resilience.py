@@ -625,7 +625,8 @@ class TestCLIExitCodes:
                        "--out", str(tmp_path / "out"), "--quiet",
                        "--no-cache"])
         assert proc.returncode == 3
-        record = json.load(open(tmp_path / "out" / "run.json"))
+        with open(tmp_path / "out" / "run.json") as fh:
+            record = json.load(fh)
         assert record["status_counts"]["quarantined"] == 1
 
     def test_cache_verify_findings_are_one(self, tmp_path):
