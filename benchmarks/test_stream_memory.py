@@ -167,4 +167,4 @@ def test_unbounded_session_grows_for_contrast(results_emitter):
     assert session.base == 0
     assert len(session.compiled) >= CI_EVENTS
     assert stats["evictions"] == 0
-    assert len(detector.cs_log) == stats["cs_records"] > 0
+    assert len(detector.histories.log) == stats["cs_records"] > 0

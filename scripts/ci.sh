@@ -55,6 +55,18 @@ done
 echo "== perfbench harness tests (the repo benchmark every perf claim uses) =="
 python -m pytest -q perfbench/tests
 
+echo "== paper checks (the benchmarks/ files that pin the paper's claims:"
+echo "   every Table 1 row's SPD and SeqCheck bug counts, Table 2,"
+echo "   precision, figures, online-K, audit, races, windowed, closure"
+echo "   ablation, hardness; python backend, so every closure runs"
+echo "   through the one python engine; benchmark timing loops off) =="
+REPRO_KERNELS=python python -m pytest -q --benchmark-disable \
+    benchmarks/test_table1.py benchmarks/test_table2.py \
+    benchmarks/test_precision.py benchmarks/test_paper_figures.py \
+    benchmarks/test_online_k.py benchmarks/test_audit.py \
+    benchmarks/test_races.py benchmarks/test_windowed.py \
+    benchmarks/test_ablation.py benchmarks/test_hardness.py
+
 echo "== perf smoke + obs overhead (floors skipped) + bounded-memory ceiling =="
 python -m pytest -q benchmarks/test_perf_regression.py \
     benchmarks/test_stream_memory.py

@@ -9,12 +9,27 @@ The closure of an event set S is the smallest superset closed under
 Representing the closure by its TRF *timestamp* ``T`` (the downward
 closure of S under ``<=TRF`` is exactly ``{e | TS(e) ⊑ T}``), rule (a)
 is free and rule (b) becomes Algorithm 1's fix-point over critical-
-section histories.
+section histories (:mod:`repro.locks.history`).
+
+:class:`SPClosure` is the one python engine for that fix-point.  Both
+detectors run it over the same history type: SPDOnline keeps one per
+context over the history it fills live, and SPDOffline checks each
+abstract pattern with a fresh one over the history
+:class:`SPClosureEngine` builds up front.  The offline check is thus an
+online closure over a history known in advance, reset per pattern.
+
+Only the *per-thread last* acquire inside the closure matters: earlier
+acquires of the same thread on the same lock release the lock before
+the later acquire (locks are non-reentrant), so their releases are
+thread-order predecessors of an event already in the closure and enter
+it for free.  And the trace-latest acquire among the kept ones may stay
+open in the witness reordering, so its release is not forced in.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Set
+from bisect import bisect_right
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import repro.obs as obs
 from repro.locks.history import CSHistories
@@ -23,95 +38,276 @@ from repro.vc.clock import VectorClock
 from repro.vc.timestamps import TRFTimestamps
 
 
+class SPClosure:
+    """Algorithm 1 over one :class:`CSHistories`, with persistent cursors.
+
+    The closure clock grows monotonically across calls (Proposition
+    4.4), and so do the cursors into the histories, which is what makes
+    a whole check linear (Lemma 4.3).  Work is driven by a dirty-lock
+    worklist: seeds and joins report which slots they grew
+    (``join_update``), once eviction summaries exist the history's
+    append log reports history growth, and only the affected locks are
+    re-advanced.  Closure membership of a record is the O(1)
+    epoch test (acquire and release timestamps are canonical snapshots;
+    see :mod:`repro.vc.timestamps`); a full release clock is touched
+    only to join it.
+    """
+
+    __slots__ = ("_hist", "_by_lock", "clock", "_log_pos", "_pending")
+
+    def __init__(self, histories: CSHistories) -> None:
+        self._hist = histories
+        # lid -> flat [cursor, last-record, cursor, last-record, ...]
+        # row, one pair per history in histories.by_lock[lid] (extended
+        # lazily when the lock gains a thread).
+        self._by_lock: Dict[int, list] = {}
+        self.clock = VectorClock(0)
+        # Cursor into the history's append log, in *absolute* positions
+        # (eviction compacts the log and advances its log_base):
+        # histories that gained records past this point are dirty for
+        # this closure.  -1 = never consulted; the first compute that
+        # consults it dirties every lock with records directly
+        # (O(locks), not O(log)).
+        self._log_pos = -1
+        self._pending: Set[int] = set()
+
+    def canonical_clock(self) -> List[int]:
+        """Backend-agnostic checkpoint form (see SPDOnline.checkpoint).
+
+        The closure state *is* its clock: cursors and candidates are
+        derivable (a record is consumed iff its acquire value is ≤ the
+        clock's thread component), and every consumed contribution is
+        already folded into the fix-point clock.  A closure rebuilt
+        from the clock alone self-heals bit-identically on its next
+        compute — re-joining already-absorbed releases is a ⊑-skipped
+        no-op at the fix-point.
+        """
+        return list(self.clock._v)
+
+    def seed_values(self, values: List[int]) -> None:
+        """Adopt restored clock components (rebuild-from-checkpoint).
+
+        A seed join like any other: the restored clock need not be a
+        fix-point (a context may checkpoint between a seed join and its
+        next compute), so the locks of every restored slot are dirty.
+        """
+        if values:
+            self.join_seed(VectorClock(values))
+
+    def join_seed(self, seed: VectorClock) -> None:
+        """Grow the closure clock; mark locks reachable from grown slots."""
+        grown = self.clock.join_update(seed)
+        if grown:
+            lot = self._hist.locks_of_thread
+            n = len(lot)
+            pend = self._pending
+            for s in grown:
+                if s < n:
+                    pend.update(lot[s])
+
+    def compute(self, seed: VectorClock) -> VectorClock:
+        """Fix-point closure starting from ``clock ⊔ seed``.
+
+        Returns the closure's own clock: a caller that mutates it must
+        pass a copy back (see :meth:`SPClosureEngine.compute`).
+        """
+        self.join_seed(seed)
+        hist = self._hist
+        t_clock = self.clock
+        # Histories that gained records since this closure last looked:
+        # consume the append log from this closure's cursor.  When the
+        # backlog exceeds the lock count (first compute, or a long-idle
+        # closure), dirtying every lock with records is the cheaper
+        # superset — per compute this costs O(min(new records, locks)).
+        # Only eviction summaries make that necessary: without them a
+        # new record is unreachable until a seed or join grows its
+        # thread's slot (its acquire value exceeds that thread's
+        # component in every timestamp published before it), and
+        # join_update reports every such growth.
+        pend = self._pending
+        log = hist.log
+        base = hist.log_base
+        pos = self._log_pos
+        n = base + len(log)
+        if pos < n and hist.evicted:
+            if pos < base or n - pos > len(hist.by_lock):
+                pend.update(hist.by_lock)
+            else:
+                for j in range(pos - base, len(log)):
+                    pend.add(log[j])
+            self._log_pos = n
+        if not pend:
+            return t_clock
+        lot = hist.locks_of_thread
+        nlot = len(lot)
+        work = list(pend)
+        while work:
+            lid = work.pop()
+            pend.discard(lid)
+            joins = self._advance_lock(lid, t_clock)
+            if joins:
+                for rel_ts in joins:
+                    for s in t_clock.join_update(rel_ts):
+                        if s < nlot:
+                            for l2 in lot[s]:
+                                if l2 not in pend:
+                                    pend.add(l2)
+                                    work.append(l2)
+        return t_clock
+
+    def _advance_lock(
+        self, lid: int, t_clock: VectorClock
+    ) -> Optional[List[VectorClock]]:
+        """Lines 4-9 of Algorithm 1 for one lock against ``t_clock``.
+
+        Moves each history's cursor past every acquire inside the
+        closure, keeping the last such record per thread, and returns
+        the release timestamps of all kept records except the single
+        trace-latest one (``None`` when nothing new is contributed).
+        """
+        hist = self._hist
+        hists = hist.by_lock.get(lid)
+        if not hists:
+            return None
+        row = self._by_lock.get(lid)
+        # Rows created over an already-evicted history must fold the
+        # evicted releases' summary clock into the closure (a sound
+        # overapproximation — see CSHistories.evict); ``extra`` carries
+        # those joins out even when no cursor moves.
+        extra: Optional[List[VectorClock]] = None
+        evicted = hist.evicted
+        if row is None:
+            row = self._by_lock[lid] = [0, None] * len(hists)
+            if evicted:
+                extra = _eviction_summaries(evicted, hists, lid)
+        elif len(row) < 2 * len(hists):
+            fresh = hists[len(row) // 2:]
+            row.extend([0, None] * len(fresh))
+            if evicted:
+                extra = _eviction_summaries(evicted, fresh, lid)
+        # Pass 1: advance cursors.  Acquire values strictly increase
+        # within a history, so the last record inside the closure is
+        # one bisect over the value column, and Corollary 4.5 keeps the
+        # cursor monotone.  If none moves, every prior contribution was
+        # already joined into t_clock (and, with mutex-exclusive
+        # locking, a non-latest candidate's release timestamp was
+        # already recorded when its successor acquire entered the
+        # history) — nothing new, skip candidate building.
+        tv = t_clock._v
+        ltv = len(tv)
+        moved = False
+        i = 0
+        for slot, records, col in hists:
+            cursor = row[i]
+            n = len(col)
+            if cursor < n:
+                bound = tv[slot] if slot < ltv else 0
+                if col[cursor] <= bound:
+                    cursor = bisect_right(col, bound, cursor + 1, n)
+                    row[i] = cursor
+                    row[i + 1] = records[cursor - 1]
+                    moved = True
+            i += 2
+        if not moved:
+            return extra
+        candidates = [rec for rec in row[1::2] if rec is not None]
+        if len(candidates) <= 1:
+            return extra
+        latest = candidates[0]
+        for rec in candidates:
+            if rec.acq_idx > latest.acq_idx:
+                latest = rec
+        joins: Optional[List[VectorClock]] = extra
+        for rec in candidates:
+            if rec is latest or rec.rel_ts is None:
+                continue
+            bound = tv[rec.slot] if rec.slot < ltv else 0
+            if rec.rel_val <= bound:
+                continue  # release already inside the closure
+            if joins is None:
+                joins = [rec.rel_ts]
+            else:
+                joins.append(rec.rel_ts)
+        return joins
+
+    def rebase(self, trimmed: Dict[Tuple[int, int], int]) -> None:
+        """Rebase row cursors after :meth:`CSHistories.evict` trimmed
+        history prefixes.
+
+        A cursor already past the trimmed prefix just shifts; a cursor
+        that had *not* consumed every evicted record joins that
+        history's summary clock instead — the closure can only grow,
+        which keeps every subsequent report sound (reports fire when an
+        acquire stays *outside* the closure, so overapproximating can
+        only suppress them: eviction misses, never fabricates).
+        """
+        pending: Optional[VectorClock] = None
+        hist = self._hist
+        evicted = hist.evicted
+        by_lock = hist.by_lock
+        for lid, row in self._by_lock.items():
+            for i, (slot, _, _) in zip(range(0, len(row), 2), by_lock[lid]):
+                k = trimmed.get((slot, lid))
+                if not k:
+                    continue
+                if row[i] >= k:
+                    row[i] -= k
+                else:
+                    row[i] = 0
+                    summary = evicted.get((slot, lid))
+                    if summary is not None:
+                        if pending is None:
+                            pending = summary.copy()
+                        else:
+                            pending.join_with(summary)
+        if pending is not None:
+            self.join_seed(pending)
+
+
+def _eviction_summaries(evicted, hists, lid) -> Optional[List[VectorClock]]:
+    out: Optional[List[VectorClock]] = None
+    for slot, _, _ in hists:
+        summary = evicted.get((slot, lid))
+        if summary is not None:
+            if out is None:
+                out = [summary]
+            else:
+                out.append(summary)
+    return out
+
+
 class SPClosureEngine:
     """Reusable Algorithm 1 runner bound to one trace.
 
     The engine owns the TRF timestamps and the critical-section
-    histories.  :meth:`compute` may be called repeatedly with growing
-    timestamps — history cursors persist across calls, which is exactly
-    the Proposition 4.4 reuse that makes Algorithm 2 linear overall.
-    Call :meth:`reset` between independent abstract-pattern checks.
-
-    The fix-point is worklist-driven, mirroring the streaming engine's
-    dirty-lock scheme: after the first pass of a check, a lock is
-    re-examined only when the closure clock grew in a slot of a thread
-    holding critical sections on it (``CSHistories.locks_of_slot``),
-    instead of re-scanning every lock each round.
+    histories, built once.  :meth:`compute` may be called repeatedly
+    with growing timestamps — history cursors persist across calls,
+    which is exactly the Proposition 4.4 reuse that makes Algorithm 2
+    linear overall.  Call :meth:`reset` between independent
+    abstract-pattern checks.
     """
 
     def __init__(self, trace: Trace, timestamps: TRFTimestamps | None = None) -> None:
         self.trace = trace = as_trace(trace)
         self.timestamps = timestamps or TRFTimestamps(trace)
-        self.histories = CSHistories(trace, self.timestamps)
-        self._locks = self.histories.locks  # static once built
-        # The monotone clock of the current check (aliased with what
-        # compute() returned) and its value snapshot at the end of the
-        # last compute — the diff tells which slots the caller grew.
-        self._clock: VectorClock | None = None
-        self._last_vals: tuple = ()
+        self.histories = CSHistories.from_trace(trace, self.timestamps)
+        self._closure = SPClosure(self.histories)
 
     def reset(self) -> None:
-        self.histories.reset()
-        self._clock = None
-        self._last_vals = ()
+        """Start a fresh check: a new closure, O(1)."""
+        self._closure = SPClosure(self.histories)
 
     def compute(self, t0: VectorClock) -> VectorClock:
         """Run Algorithm 1 starting from timestamp ``t0``.
 
-        Returns the (possibly aliased, mutated) fix-point timestamp of
-        ``SPClosure({e | TS(e) ⊑ t0})``.  Across calls of one check the
-        seeds must be monotone (they are: callers join into the
-        returned clock), which lets the worklist start from only the
-        slots that grew since the previous fix-point.
+        Returns the fix-point timestamp of ``SPClosure({e | TS(e) ⊑
+        t0})`` joined with every earlier seed of the current check, as
+        a copy-on-write snapshot: callers may join into it in place and
+        pass it back as the next seed, and the closure still sees which
+        slots grew.
         """
-        histories = self.histories
-        advance = histories.advance_lock
-        locks_of_slot = histories.locks_of_slot
-        if self._clock is None:
-            # First fix-point of a check: every lock is potentially
-            # live, so the opening round is a plain full sweep (the
-            # dirty bookkeeping would not filter anything).
-            t_clock = self._clock = t0.copy()
-            grown = []
-            for lock in self._locks:
-                join = advance(lock, t_clock, None)
-                if join is not None:
-                    grown.extend(t_clock.join_update(join))
-        else:
-            # Subsequent fix-points grow from a small delta: the slots
-            # the caller (or the new seed) grew since the last one.
-            t_clock = self._clock
-            if t0 is not t_clock:
-                t_clock.join_with(t0)
-            last = self._last_vals
-            nlast = len(last)
-            v = t_clock._v
-            grown = [s for s in range(len(v))
-                     if v[s] > (last[s] if s < nlast else 0)]
-        # Batched rounds: each round advances every dirty lock against
-        # exactly the slots that grew last round, and the joins those
-        # contribute seed the next round's dirty set.
-        rounds = 0
-        while grown:
-            rounds += 1
-            pend: dict = {}
-            for s in grown:
-                for l2 in locks_of_slot.get(s, ()):
-                    dirty = pend.get(l2)
-                    if dirty is None:
-                        pend[l2] = [s]
-                    else:
-                        dirty.append(s)
-            grown = []
-            for lock, slots in pend.items():
-                join = advance(lock, t_clock, slots)
-                if join is not None:
-                    grown.extend(t_clock.join_update(join))
-        self._last_vals = tuple(t_clock._v)
         obs.count("closure.compute")
-        if rounds:
-            obs.count("closure.rounds", rounds)
-        return t_clock
+        return self._closure.compute(t0).snapshot()
 
     def timestamp_of_events(self, events: Iterable[int]) -> VectorClock:
         """``TS(S) = ⨆ {TS(e)}`` for an event set."""
@@ -136,7 +332,7 @@ class SPClosureEngine:
         out: Set[int] = set()
         for thread in self.trace.threads:
             slot = self.timestamps.universe.slot(thread)
-            bound = t_clock[slot]
+            bound = t_clock.component(slot)
             for idx in self.trace.events_of_thread(thread)[:bound]:
                 out.add(idx)
         return out
@@ -153,3 +349,46 @@ def sp_closure_events(trace: Trace, events: Iterable[int]) -> Set[int]:
     engine = SPClosureEngine(trace)
     t_clock = engine.compute(engine.timestamp_of_events(events))
     return engine.members(t_clock)
+
+
+# -- telemetry ---------------------------------------------------------------
+#
+# _advance_lock runs once per dirty lock of every fix-point, offline and
+# online — hot enough that even a guarded call is unwelcome on the
+# disabled path.  Same patch-on-enable scheme as repro.vc.clock.
+
+_OBS_COUNTS = {"cs.advance": 0, "cs.contributions": 0, "cs.resets": 0}
+
+
+def _obs_install():
+    c = _OBS_COUNTS
+    orig_advance = SPClosure._advance_lock
+    orig_reset = SPClosureEngine.reset
+
+    def _advance_lock(self, lid, t_clock):
+        c["cs.advance"] += 1
+        joins = orig_advance(self, lid, t_clock)
+        if joins:
+            c["cs.contributions"] += 1
+        return joins
+
+    def reset(self):
+        c["cs.resets"] += 1
+        orig_reset(self)
+
+    SPClosure._advance_lock = _advance_lock
+    SPClosureEngine.reset = reset
+
+    def undo():
+        SPClosure._advance_lock = orig_advance
+        SPClosureEngine.reset = orig_reset
+
+    return undo
+
+
+def _obs_register() -> None:
+    obs.register_probe("closure", lambda: dict(_OBS_COUNTS))
+    obs.on_enable(_obs_install)
+
+
+_obs_register()

@@ -6,12 +6,12 @@ raw trace.  Its state:
 
 - ``C_t`` — the TRF timestamp of the last event of each thread;
 - ``LW_x`` — the timestamp of the last write to each variable;
-- critical-section history: a global append-only list of
-  (acquire-ts, release-ts) entries per (thread, lock) — a *history* —
-  with *per-context* cursors — the literal algorithm keeps one queue
-  copy per context ``⟨t1, l1, t2, l2⟩`` and consumes it destructively;
-  a shared list with per-context cursors is observationally identical
-  and lighter;
+- critical-section history: one shared
+  :class:`~repro.locks.history.CSHistories` of (acquire-ts,
+  release-ts) records per (thread, lock), with *per-context* cursors —
+  the literal algorithm keeps one queue copy per context
+  ``⟨t1, l1, t2, l2⟩`` and consumes it destructively; a shared list
+  with per-context cursors is observationally identical and lighter;
 - ``AcqHist⟨u⟩_{t,l,l'}`` — FIFO queues of (pred-ts, ts) for acquires of
   ``l`` by ``t`` holding ``l'``, one copy per opposing thread ``u``,
   consumed by ``checkDeadlock``;
@@ -37,18 +37,16 @@ Representation (the performance model):
 - an acquire of ``l`` holding ``l'`` consults only the threads indexed
   under ``(l', l)`` — the threads that actually queued opposing
   acquires — instead of scanning every known thread;
-- the per-context closure runs a dirty-lock worklist: a lock is
-  re-examined only when the closure clock grew in a slot of a thread
-  holding critical sections on it, or when its history gained records
-  (tracked by an append-only log with per-closure cursors), instead of
-  re-scanning every known lock each fix-point round;
-- each history keeps, beside its records, an int column of their
-  acquire values.  Values strictly increase within a history and
-  Corollary 4.5 makes cursors monotone, so advancing a cursor to the
-  last record inside the closure is one ``bisect_right`` over the
-  column, exactly.  The records, the column and the thread id live once
-  per history on the detector; a closure keeps only an int cursor and
-  the last-consumed record per (lock, thread);
+- each context's closure is a :class:`~repro.core.closure.SPClosure`,
+  the same Algorithm 1 engine SPDOffline checks patterns with: a
+  dirty-lock worklist (a lock is re-examined only when the closure
+  clock grew in a slot of a thread holding critical sections on it,
+  or, once eviction has trimmed histories, when its history gained
+  records, as the history's append log tells) whose cursors advance by
+  one ``bisect_right`` over each history's int column of acquire
+  values.  The records and columns live once, in the detector's
+  history; a closure keeps only an int cursor and the last-consumed
+  record per (lock, thread);
 - the closure backend is chosen by stream width.  The python closure
   wins on narrow streams; once an exact detector records its
   ``PROMOTE_HISTORIES``-th (thread, lock) history it promotes, once and
@@ -60,12 +58,13 @@ Representation (the performance model):
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 import repro.kernels as kernels
+from repro.core.closure import SPClosure
 from repro.core.patterns import DeadlockPattern, DeadlockReport
+from repro.locks.history import CSHistories, CSRecord
 from repro.trace.compiled import CompiledTrace, InterningDetectorMixin
 from repro.trace.events import (
     OP_ACQUIRE,
@@ -78,25 +77,6 @@ from repro.trace.events import (
 )
 from repro.trace.trace import Trace
 from repro.vc.clock import ThreadUniverse, VectorClock
-
-
-class _CSRecord:
-    """One critical section in the global history.
-
-    ``acq_val`` is the acquiring thread's component at the acquire
-    (its canonical epoch); ``rel_val``/``rel_ts`` are filled at release.
-    The full acquire clock is never needed: closure membership of an
-    acquire is exactly the epoch test ``acq_val <= T[tid]``.
-    """
-
-    __slots__ = ("acq_idx", "tid", "acq_val", "rel_val", "rel_ts")
-
-    def __init__(self, acq_idx: int, tid: int, acq_val: int) -> None:
-        self.acq_idx = acq_idx
-        self.tid = tid
-        self.acq_val = acq_val
-        self.rel_val: Optional[int] = None
-        self.rel_ts: Optional[VectorClock] = None
 
 
 class _AcqEntry:
@@ -128,220 +108,6 @@ _MB_LIMIT = 64
 #: (thread, lock) histories at which an exact detector promotes its
 #: closures to the numpy kernel (see SPDOnline._promote)
 PROMOTE_HISTORIES = 64
-
-
-class _OnlineClosure:
-    """Per-context Algorithm 1 over the shared critical-section history.
-
-    The closure clock grows monotonically across calls (Proposition
-    4.4).  Work is driven by a dirty-lock worklist: seeds report which
-    slots they grew (``join_update``), the owner's append log reports
-    history growth, and only the affected locks are re-advanced.
-    """
-
-    __slots__ = ("_owner", "_by_lock", "clock", "_log_pos", "_pending")
-
-    def __init__(self, owner: "SPDOnline") -> None:
-        self._owner = owner
-        # lid -> flat [cursor, last-record, cursor, last-record, ...]
-        # row, one pair per history in owner._lock_hists[lid] (extended
-        # lazily when the lock gains a thread).  The records, their
-        # value column and the thread id live once, on the owner.
-        self._by_lock: Dict[int, list] = {}
-        self.clock = VectorClock(0)
-        # Cursor into the owner's append-only cs_log (in *absolute*
-        # positions — eviction mode compacts the log and advances
-        # owner.cs_log_base): histories that gained records past this
-        # point are dirty for this closure.  -1 = never computed; the
-        # first compute dirties every lock with records directly
-        # (O(locks), not O(log)).
-        self._log_pos = -1
-        self._pending: Set[int] = set()
-
-    def canonical_clock(self) -> List[int]:
-        """Backend-agnostic checkpoint form (see SPDOnline.checkpoint).
-
-        The closure state *is* its clock: cursors and candidates are
-        derivable (a record is consumed iff its acquire value is ≤ the
-        clock's thread component), and every consumed contribution is
-        already folded into the fix-point clock.  A closure rebuilt
-        from the clock alone self-heals bit-identically on its next
-        compute — re-joining already-absorbed releases is a ⊑-skipped
-        no-op at the fix-point.
-        """
-        return list(self.clock._v)
-
-    def seed_values(self, values: List[int]) -> None:
-        """Adopt restored clock components (rebuild-from-checkpoint)."""
-        if values:
-            self.clock.join_with(VectorClock(values))
-
-    def join_seed(self, seed: VectorClock) -> None:
-        """Grow the closure clock; mark locks reachable from grown slots."""
-        grown = self.clock.join_update(seed)
-        if grown:
-            lot = self._owner.locks_of_thread
-            n = len(lot)
-            pend = self._pending
-            for s in grown:
-                if s < n:
-                    pend.update(lot[s])
-
-    def compute(self, seed: VectorClock) -> VectorClock:
-        """Fix-point closure starting from ``clock ⊔ seed``."""
-        self.join_seed(seed)
-        owner = self._owner
-        t_clock = self.clock
-        # Histories that gained records since this closure last looked:
-        # consume the owner's append log from this closure's cursor.
-        # When the backlog exceeds the lock count (first compute, or a
-        # long-idle closure), dirtying every lock with records is the
-        # cheaper superset — per compute this costs
-        # O(min(new records, locks)).
-        pend = self._pending
-        log = owner.cs_log
-        base = owner.cs_log_base
-        pos = self._log_pos
-        n = base + len(log)
-        if pos < n:
-            if pos < base or n - pos > len(owner.threads_with_lock):
-                pend.update(owner.threads_with_lock)
-            else:
-                for j in range(pos - base, len(log)):
-                    pend.add(log[j])
-            self._log_pos = n
-        if not pend:
-            return t_clock
-        lot = owner.locks_of_thread
-        nlot = len(lot)
-        work = list(pend)
-        while work:
-            lid = work.pop()
-            pend.discard(lid)
-            joins = self._advance_lock(lid, t_clock)
-            if joins:
-                self._owner._closure_iterations += 1
-                for rel_ts in joins:
-                    for s in t_clock.join_update(rel_ts):
-                        if s < nlot:
-                            for l2 in lot[s]:
-                                if l2 not in pend:
-                                    pend.add(l2)
-                                    work.append(l2)
-        return t_clock
-
-    def _advance_lock(
-        self, lid: int, t_clock: VectorClock
-    ) -> Optional[List[VectorClock]]:
-        owner = self._owner
-        hists = owner._lock_hists.get(lid)
-        if not hists:
-            return None
-        row = self._by_lock.get(lid)
-        # Rows created over an already-evicted history must fold the
-        # evicted releases' summary clock into the closure (a sound
-        # overapproximation — see SPDOnline._evict_stale); ``extra``
-        # carries those joins out even when no cursor moves.
-        extra: Optional[List[VectorClock]] = None
-        evicted = owner._evicted_rel
-        if row is None:
-            row = self._by_lock[lid] = [0, None] * len(hists)
-            if evicted:
-                extra = self._eviction_summaries(evicted, hists, lid)
-        elif len(row) < 2 * len(hists):
-            fresh = hists[len(row) // 2:]
-            row.extend([0, None] * len(fresh))
-            if evicted:
-                extra = self._eviction_summaries(evicted, fresh, lid)
-        # Pass 1: advance cursors.  Acquire values strictly increase
-        # within a history, so the last record inside the closure is
-        # one bisect over the value column, and Corollary 4.5 keeps the
-        # cursor monotone.  If none moves, every prior contribution was
-        # already joined into t_clock (and, with mutex-exclusive
-        # locking, a non-latest candidate's release timestamp was
-        # already recorded when its successor acquire entered the
-        # history) — nothing new, skip candidate building.
-        tv = t_clock._v
-        ltv = len(tv)
-        moved = False
-        i = 0
-        for tid, records, col in hists:
-            cursor = row[i]
-            n = len(col)
-            if cursor < n:
-                bound = tv[tid] if tid < ltv else 0
-                if col[cursor] <= bound:
-                    cursor = bisect_right(col, bound, cursor + 1, n)
-                    row[i] = cursor
-                    row[i + 1] = records[cursor - 1]
-                    moved = True
-            i += 2
-        if not moved:
-            return extra
-        candidates = [rec for rec in row[1::2] if rec is not None]
-        if len(candidates) <= 1:
-            return extra
-        latest = candidates[0]
-        for rec in candidates:
-            if rec.acq_idx > latest.acq_idx:
-                latest = rec
-        joins: Optional[List[VectorClock]] = extra
-        for rec in candidates:
-            if rec is latest or rec.rel_ts is None:
-                continue
-            bound = tv[rec.tid] if rec.tid < ltv else 0
-            if rec.rel_val <= bound:
-                continue  # release already inside the closure
-            if joins is None:
-                joins = [rec.rel_ts]
-            else:
-                joins.append(rec.rel_ts)
-        return joins
-
-    @staticmethod
-    def _eviction_summaries(evicted, hists, lid) -> Optional[List[VectorClock]]:
-        out: Optional[List[VectorClock]] = None
-        for tid, _, _ in hists:
-            summary = evicted.get((tid, lid))
-            if summary is not None:
-                if out is None:
-                    out = [summary]
-                else:
-                    out.append(summary)
-        return out
-
-    def _after_eviction(self, trimmed: Dict[Tuple[int, int], int]) -> None:
-        """Rebase row cursors after the owner trimmed history prefixes.
-
-        A cursor already past the trimmed prefix just shifts; a cursor
-        that had *not* consumed every evicted record joins that
-        history's summary clock instead — the closure can only grow,
-        which keeps every subsequent report sound (reports fire when an
-        acquire stays *outside* the closure, so overapproximating can
-        only suppress them: eviction misses, never fabricates).
-        """
-        pending: Optional[VectorClock] = None
-        owner = self._owner
-        evicted = owner._evicted_rel
-        lock_hists = owner._lock_hists
-        for lid, row in self._by_lock.items():
-            for i, (tid, _, _) in zip(range(0, len(row), 2),
-                                      lock_hists[lid]):
-                k = trimmed.get((tid, lid))
-                if not k:
-                    continue
-                if row[i] >= k:
-                    row[i] -= k
-                else:
-                    row[i] = 0
-                    summary = evicted.get((tid, lid))
-                    if summary is not None:
-                        if pending is None:
-                            pending = summary.copy()
-                        else:
-                            pending.join_with(summary)
-        if pending is not None:
-            self.join_seed(pending)
 
 
 @dataclass
@@ -399,23 +165,11 @@ class SPDOnline(InterningDetectorMixin):
         self._clocks: List[VectorClock] = []
         self._held: List[List[int]] = []
         self._last_write: List[Optional[Tuple[int, int, VectorClock]]] = []
-        #: per-thread list of locks the thread has critical sections on
-        self.locks_of_thread: List[List[int]] = []
-        #: append-only log of lock ids, one entry per critical-section
-        #: record; closures consume it via a private cursor to learn
-        #: which histories grew since they last computed
-        self.cs_log: List[int] = []
-        # Shared critical-section history (per thread, lock), plus the
-        # open-acquire stack used to fill release timestamps.
-        self.cs_history: Dict[Tuple[int, int], List[_CSRecord]] = {}
-        self._open_cs: Dict[Tuple[int, int], List[_CSRecord]] = {}
-        self.threads_with_lock: Dict[int, List[int]] = {}
-        # Derived from cs_history (rebuilt on restore): each history's
-        # int column of acquire values, and per lock its (tid, records,
-        # column) triples aligned with threads_with_lock[lid].
-        self._acq_cols: Dict[Tuple[int, int], List[int]] = {}
-        self._lock_hists: Dict[int, List[Tuple[int, List[_CSRecord],
-                                               List[int]]]] = {}
+        #: the shared critical-section history every closure reads
+        #: (append log, eviction summaries and indexes included), plus
+        #: the open-acquire stacks used to fill release timestamps
+        self.histories = CSHistories()
+        self._open_cs: Dict[Tuple[int, int], List[CSRecord]] = {}
         # AcqHist: shared per-(thread, lock, held-lock) acquire lists with
         # per-context cursors (equivalent to the per-opposing-thread queue
         # copies of Algorithm 4, but robust to threads appearing later),
@@ -424,18 +178,12 @@ class SPDOnline(InterningDetectorMixin):
         self._acq_seq: Dict[Tuple[int, int, int], List[_AcqEntry]] = {}
         self._pair_threads: Dict[Tuple[int, int], List[int]] = {}
         self._ctx_cursor: Dict[_Ctx, int] = {}
-        self._closures: Dict[_Ctx, _OnlineClosure] = {}
+        self._closures: Dict[_Ctx, SPClosure] = {}
         self.reports: List[OnlineReport] = []
         self._events_seen = 0
         # Bounded-memory eviction (None = keep everything, the exact
-        # algorithm).  cs_log_base counts log entries compacted away;
-        # _evicted_rel maps a trimmed (thread, lock) history to the
-        # join of its evicted release timestamps (the sound
-        # overapproximation closures consult instead).
+        # algorithm).
         self.max_memory_events = max_memory_events
-        self.cs_log_base = 0
-        self._evicted_rel: Dict[Tuple[int, int], VectorClock] = {}
-        self._evicted_counts: Dict[Tuple[int, int], int] = {}
         if max_memory_events is not None:
             self._evict_period = max(1, max_memory_events // 2)
             self._next_evict: Optional[int] = (
@@ -445,7 +193,6 @@ class SPDOnline(InterningDetectorMixin):
             self._evict_period = 0
             self._next_evict = None
         # Instrumentation (cheap counters; see stats()).
-        self._closure_iterations = 0
         self._deadlock_checks = 0
         self._evictions = 0
         # Vectorized closure backend (repro.kernels): numpy mirrors of
@@ -473,12 +220,12 @@ class SPDOnline(InterningDetectorMixin):
         if self._np is not None:
             from repro.kernels.online_np import NpOnlineClosure
 
-            return NpOnlineClosure(self)
-        return _OnlineClosure(self)
+            return NpOnlineClosure(self._np)
+        return SPClosure(self.histories)
 
     def _closure_from(self, values: List[int]):
         """A closure of the active backend rebuilt from a canonical
-        clock (see :meth:`_OnlineClosure.canonical_clock`)."""
+        clock (see :meth:`SPClosure.canonical_clock`)."""
         closure = self._new_closure()
         closure.seed_values(values)
         return closure
@@ -499,7 +246,7 @@ class SPDOnline(InterningDetectorMixin):
             return
         from repro.kernels.online_np import NpOnlineState
 
-        self._np = NpOnlineState.from_history(np_mod, self.cs_history)
+        self._np = NpOnlineState.from_history(np_mod, self.histories)
         self._mb = []
         kernels.record_dispatch("online_closure", "numpy")
         self._closures = {
@@ -511,19 +258,6 @@ class SPDOnline(InterningDetectorMixin):
     def _promote_extra(self) -> None:
         """Subclass hook: move extra closures onto the promoted kernel."""
 
-    def _index_histories(self) -> None:
-        """Rebuild the value columns and the per-lock history index
-        from ``cs_history`` (both are dropped from checkpoints)."""
-        cols = self._acq_cols = {
-            key: [rec.acq_val for rec in records]
-            for key, records in self.cs_history.items()
-        }
-        self._lock_hists = {
-            lid: [(tid, self.cs_history[(tid, lid)], cols[(tid, lid)])
-                  for tid in tids]
-            for lid, tids in self.threads_with_lock.items()
-        }
-
     # -- bookkeeping -------------------------------------------------------
 
     def _add_thread(self, thread: str) -> int:
@@ -533,7 +267,6 @@ class SPDOnline(InterningDetectorMixin):
         self.universe.slot(thread)
         self._clocks.append(VectorClock(0))
         self._held.append([])
-        self.locks_of_thread.append([])
         return tid
 
     def _add_lock(self, lock: str) -> int:
@@ -617,17 +350,18 @@ class SPDOnline(InterningDetectorMixin):
         c_pred = clock.snapshot()
         clock.tick(tid)
         val = clock[tid]
-        # Record the critical section in the shared history.
-        key = (tid, lid)
-        records = self.cs_history.get(key)
-        if records is None:
-            records = self._add_history(tid, lid)
-        rec = _CSRecord(acq_idx=idx, tid=tid, acq_val=val)
-        records.append(rec)
-        self._acq_cols[key].append(val)
-        self.cs_log.append(lid)
+        # Record the critical section in the shared history; an exact
+        # detector promotes when this adds its PROMOTE_HISTORIES-th
+        # (thread, lock) history.
+        histories = self.histories
+        n_hist = len(histories.records)
+        rec = histories.append(tid, lid, idx, val)
         if self._np is not None:
             self._np.on_acquire(tid, lid, val, idx)
+        elif (n_hist < len(histories.records) == PROMOTE_HISTORIES
+              and self.max_memory_events is None):
+            self._promote()
+        key = (tid, lid)
         open_stack = self._open_cs.get(key)
         if open_stack is None:
             open_stack = self._open_cs[key] = []
@@ -688,25 +422,11 @@ class SPDOnline(InterningDetectorMixin):
         if mb is not None and len(mb) >= _MB_LIMIT:
             self._flush_checks()
 
-    def _add_history(self, tid: int, lid: int) -> List[_CSRecord]:
-        key = (tid, lid)
-        records: List[_CSRecord] = []
-        col: List[int] = []
-        self.cs_history[key] = records
-        self._acq_cols[key] = col
-        self.threads_with_lock.setdefault(lid, []).append(tid)
-        self._lock_hists.setdefault(lid, []).append((tid, records, col))
-        self.locks_of_thread[tid].append(lid)
-        if (len(self.cs_history) == PROMOTE_HISTORIES
-                and self.max_memory_events is None):
-            self._promote()
-        return records
-
     def _check_deadlock(
         self,
         queue: List[_AcqEntry],
         n: int,
-        closure: _OnlineClosure,
+        closure: SPClosure,
         ctx: _Ctx,
         c_pred: VectorClock,
         new_entry: _AcqEntry,
@@ -793,53 +513,30 @@ class SPDOnline(InterningDetectorMixin):
     def _evict_stale(self) -> None:
         """Discard tracked state older than the eviction horizon.
 
-        Three sweeps, each sound under the report rule (a report fires
+        Two sweeps, each sound under the report rule (a report fires
         only when an acquire stays *outside* the computed closure, so
         any change that can only grow closures or drop candidate
         patterns yields misses, never fabrications):
 
-        1. **Critical-section histories** — closed records older than
-           the horizon are removed prefix-wise; their release clocks
-           are folded into a per-(thread, lock) summary that closures
-           join *unconditionally* wherever the exact algorithm might
-           have joined a subset (a one-clock overapproximation of
-           everything the closure could still reach through the
-           evicted records).
+        1. **Critical-section histories and their log** —
+           :meth:`CSHistories.evict` trims closed records older than
+           the horizon into per-history summary clocks and compacts the
+           append log; every closure then rebases its cursors
+           (:meth:`SPClosure.rebase`).
         2. **Guarded-acquire queues** (AcqHist) — entries older than
            the horizon can never be re-examined usefully at bounded
            memory; dropping them forfeits only the patterns they
            anchor.  Context cursors shift with the trimmed prefix
            (entries a cursor had not reached are simply missed).
-        3. **The history-growth log** — closures lagging more than the
-           lock count behind take the dirty-all-locks fallback anyway,
-           so only that many trailing entries are kept;
-           :attr:`cs_log_base` keeps absolute positions meaningful.
         """
         self._next_evict = self._events_seen + self._evict_period
         horizon = self._events_seen - self.max_memory_events
         if horizon <= 0:
             return
-        trimmed: Dict[Tuple[int, int], int] = {}
-        for key, records in self.cs_history.items():
-            k = 0
-            n = len(records)
-            while (k < n and records[k].rel_ts is not None
-                   and records[k].acq_idx < horizon):
-                k += 1
-            if not k:
-                continue
-            summary = self._evicted_rel.get(key)
-            if summary is None:
-                summary = self._evicted_rel[key] = VectorClock(0)
-            for rec in records[:k]:
-                summary.join_with(rec.rel_ts)
-            del records[:k]
-            del self._acq_cols[key][:k]
-            self._evicted_counts[key] = self._evicted_counts.get(key, 0) + k
-            trimmed[key] = k
+        trimmed = self.histories.evict(horizon)
         if trimmed:
             for closure in self._closures.values():
-                closure._after_eviction(trimmed)
+                closure.rebase(trimmed)
         acq_trim: Dict[Tuple[int, int, int], int] = {}
         for skey, queue in self._acq_seq.items():
             k = 0
@@ -855,11 +552,6 @@ class SPDOnline(InterningDetectorMixin):
                 k = acq_trim.get((ctx[0], ctx[1], ctx[3]))
                 if k:
                     cursors[ctx] = cur - k if cur > k else 0
-        keep = len(self.threads_with_lock) + 1
-        excess = len(self.cs_log) - keep
-        if excess > 0:
-            del self.cs_log[:excess]
-            self.cs_log_base += excess
         self._evictions += 1
 
     # -- checkpoint / restore ------------------------------------------------
@@ -882,10 +574,10 @@ class SPDOnline(InterningDetectorMixin):
         # Closures serialize as their canonical clock (a plain int
         # list): backend-agnostic and numpy-free, so a blob written
         # under REPRO_KERNELS=numpy restores under python and vice
-        # versa.  The numpy history mirror, the value columns and the
-        # per-lock history index are likewise dropped and rebuilt from
-        # the canonical records on restore.
-        for derived in ("_np", "_mb", "_acq_cols", "_lock_hists"):
+        # versa.  The numpy history mirror is likewise dropped, and the
+        # history pickles its canonical records only (its columns and
+        # indexes are rebuilt on restore).
+        for derived in ("_np", "_mb"):
             state.pop(derived, None)
         state["_closures"] = {
             ctx: closure.canonical_clock()
@@ -903,16 +595,27 @@ class SPDOnline(InterningDetectorMixin):
         """Rebuild a detector from :meth:`checkpoint` output."""
         import pickle
 
-        kind, state = pickle.loads(blob)
+        try:
+            kind, state = pickle.loads(blob)
+        except AttributeError as exc:   # a class the blob names is gone
+            raise ValueError(
+                f"stale {cls.__name__} checkpoint: {exc}; re-feed the "
+                "stream instead"
+            ) from exc
         if kind != cls.__name__:
             raise ValueError(
                 f"checkpoint was taken from {kind}, not {cls.__name__}"
+            )
+        if not isinstance(state.get("histories"), CSHistories):
+            raise ValueError(
+                f"stale {kind} checkpoint: it keeps its critical-section "
+                "history in flat fields, not a CSHistories; re-feed the "
+                "stream instead"
             )
         out = cls.__new__(cls)
         out.__dict__.update(state)
         out._np = None
         out._mb = None
-        out._index_histories()
         # Closures checkpoint as canonical clocks; rebuild them on the
         # python closure, then promote as a live detector would have.
         closures = {}
@@ -928,7 +631,7 @@ class SPDOnline(InterningDetectorMixin):
         out._restore_extra()
         if out.max_memory_events is None:
             kernels.record_dispatch("online_closure", "python")
-            if len(out.cs_history) >= PROMOTE_HISTORIES:
+            if len(out.histories.records) >= PROMOTE_HISTORIES:
                 out._promote()
         return out
 
@@ -952,7 +655,8 @@ class SPDOnline(InterningDetectorMixin):
         """
         if self._mb:
             self._flush_checks()
-        cs_records = sum(len(v) for v in self.cs_history.values())
+        histories = self.histories
+        cs_records = sum(len(v) for v in histories.records.values())
         acquire_entries = sum(len(v) for v in self._acq_seq.values())
         return {
             "events": self._events_seen,
@@ -960,7 +664,8 @@ class SPDOnline(InterningDetectorMixin):
             "contexts": len(self._closures),
             "acquire_entries": acquire_entries,
             "cs_records": cs_records,
-            "tracked_entries": cs_records + acquire_entries + len(self.cs_log),
+            "tracked_entries": (cs_records + acquire_entries
+                                + len(histories.log)),
             "evictions": self._evictions,
         }
 

@@ -35,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.spd_online import SPDOnline, _AcqEntry, _OnlineClosure
+from repro.core.closure import SPClosure
+from repro.core.spd_online import SPDOnline, _AcqEntry
 from repro.vc.clock import VectorClock
 
 #: Interned signature: (thread id, lock id, held lock ids).
@@ -68,7 +69,7 @@ class _Context:
 
     signatures: Tuple[Signature, ...]
     cursors: List[int]
-    closure: _OnlineClosure
+    closure: SPClosure
     reported: bool = False
 
 
@@ -239,11 +240,11 @@ class SPDOnlineK(SPDOnline):
     def _checkpoint_extra(self, state: Dict) -> None:
         """Serialize contexts as plain tuples (see SPDOnline.checkpoint).
 
-        A pickled :class:`_Context` would drag the whole detector along
-        through its closure's owner backref (numpy mirrors included);
-        the canonical form — signatures, cursors, the closure's
-        canonical clock, the reported flag — is backend-agnostic and
-        rebuilds bit-identically under either kernel backend.
+        A pickled :class:`_Context` would drag its closure's cursor rows
+        (or, once promoted, the numpy mirrors) along; the canonical
+        form — signatures, cursors, the closure's canonical clock, the
+        reported flag — is backend-agnostic and rebuilds
+        bit-identically under either kernel backend.
         """
         state.pop("_contexts_of_sig", None)
         state["_contexts"] = [

@@ -2,13 +2,15 @@
 
 The python path (:func:`repro.core.spd_offline.check_pattern_sequences`)
 checks one abstract pattern at a time: walk the acquire sequences with
-one pointer each, grow a closure clock to the Algorithm 1 fix-point,
-report when no current event landed inside, else skip swallowed
-acquires (Corollary 4.5).  Checks of distinct patterns are completely
-independent — each owns its pointers, its closure clock, and its
-critical-section cursors — which makes the whole phase 2 a textbook
-lockstep batch: this kernel advances *all* patterns through the same
-pointer-walk rounds simultaneously over
+one pointer each, grow a closure clock to the Algorithm 1 fix-point
+(one fresh :class:`repro.core.closure.SPClosure` per pattern, the
+engine SPDOnline runs too, over the critical-section history built
+once per trace), report when no current event landed inside, else skip
+swallowed acquires (Corollary 4.5).  Checks of distinct patterns are
+completely independent — each owns its pointers, its closure clock,
+and its critical-section cursors — which makes the whole phase 2 a
+textbook lockstep batch: this kernel advances *all* patterns through
+the same pointer-walk rounds simultaneously over
 
 - ``TS``   — ``[n_rows, n_threads]``: the timestamps phase 2 joins
   (acquire predecessors and releases), from the sparse TRF store,
@@ -21,9 +23,9 @@ acquire values (valid because per-queue values strictly increase and
 closure clocks grow monotonically within a check — the same
 Proposition 4.4 monotonicity the python cursors rely on), and release
 joins scatter through ``np.maximum.at``.  The fix-point of Algorithm 1
-is unique (its rules are monotone), so reaching it in a different
-round order than the python worklist yields bit-identical clocks, and
-hence bit-identical witnesses.
+is unique (its rules are monotone), so reaching it in lockstep rounds
+rather than the python engine's dirty-lock worklist order yields
+bit-identical clocks, and hence bit-identical witnesses.
 
 The kernel returns ``None`` to decline (no numpy, no acquires); the
 caller then runs the canonical python path.

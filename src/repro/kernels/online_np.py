@@ -1,22 +1,22 @@
 """SPDOnline's per-context Algorithm 1 closure over flat row arrays.
 
-The python closure (:class:`repro.core.spd_online._OnlineClosure`)
-keeps per-lock row lists and a dirty-lock worklist fed by seed-join
-deltas and a history append log.  The numpy port replaces all of that
+The python closure (:class:`repro.core.closure.SPClosure`) keeps
+per-lock row lists and a dirty-lock worklist fed by seed-join deltas
+and the history's append log.  The numpy port replaces all of that
 with one flat fixed-stride layout indexed by a global *queue id* (one
 queue per (thread, lock) pair with critical sections):
 
-- :class:`NpOnlineState` — write-through mirrors of the shared
-  critical-section history, built from the canonical records at
-  promotion (and after a checkpoint restore).  Queue ``q`` owns slots ``[q*cap,
-  (q+1)*cap)`` of the flat ``acq_val``/``acq_idx``/``rel_val``/
+- :class:`NpOnlineState` — write-through mirrors of the detector's
+  :class:`~repro.locks.history.CSHistories`, built from its canonical
+  records at promotion (and after a checkpoint restore).  Queue ``q``
+  owns slots ``[q*cap, (q+1)*cap)`` of the flat ``acq_val``/``acq_idx``/``rel_val``/
   ``rel_row`` columns (uniform capacity, relayout-doubled when any
   queue fills), plus one 2-D release-clock pool.  The encoded column
   ``enc[s] = acq_val[s] + q*stride`` is globally sorted (pad slots
   hold ``stride-1``), so *one* ``np.searchsorted`` advances every
   movable cursor of a closure round at once.  Maintained
   incrementally by the detector's event handlers from then on.
-- :class:`NpOnlineClosure` — a drop-in for ``_OnlineClosure`` (same
+- :class:`NpOnlineClosure` — a drop-in for ``SPClosure`` (same
   ``join_seed``/``compute`` surface; ``compute`` returns an object
   answering ``component``).  The movable test is one vectorized
   comparison ``next_val <= clock[tid]`` across *all* queues, and the
@@ -127,7 +127,7 @@ class NpOnlineState:
             self._relayout(2 * self.cap)
         slot = qid * self.cap + n
         self.f_val[slot] = val
-        # acq_idx mirrors _CSRecord.acq_idx (the latest-candidate
+        # acq_idx mirrors CSRecord.acq_idx (the latest-candidate
         # tiebreaker): the event counter at the acquire.
         self.f_cand[0, slot] = acq_idx
         self.f_enc[slot] = val + qid * _STRIDE
@@ -218,13 +218,13 @@ class NpOnlineState:
     # -- promotion path ------------------------------------------------------
 
     @classmethod
-    def from_history(cls, np, cs_history) -> "NpOnlineState":
-        """Full resync from the canonical ``SPDOnline.cs_history`` at
-        promotion, live or on restore (queue ids follow insertion
+    def from_history(cls, np, histories) -> "NpOnlineState":
+        """Full resync from a :class:`~repro.locks.history.CSHistories`
+        at promotion, live or on restore (queue ids follow insertion
         order, which is deterministic but need not match the original
         run — queue order never affects the fix-point)."""
         out = cls(np)
-        for (tid, lid), records in cs_history.items():
+        for (tid, lid), records in histories.records.items():
             for rec in records:
                 out.on_acquire(tid, lid, rec.acq_val, rec.acq_idx)
                 if rec.rel_ts is not None:
@@ -234,14 +234,13 @@ class NpOnlineState:
 
 
 class NpOnlineClosure:
-    """Drop-in ``_OnlineClosure`` backed by :class:`NpOnlineState`."""
+    """Drop-in ``SPClosure`` backed by :class:`NpOnlineState`."""
 
-    __slots__ = ("_owner", "_cl", "_clock", "_dirty", "_cursor", "_pos",
+    __slots__ = ("_st", "_cl", "_clock", "_dirty", "_cursor", "_pos",
                  "_nq", "_lgen")
 
-    def __init__(self, owner) -> None:
-        self._owner = owner
-        st = owner._np
+    def __init__(self, st: NpOnlineState) -> None:
+        self._st = st
         #: python mirror of the closure clock — the hot path (seed
         #: joins, component reads, the no-growth early exit) never
         #: touches numpy.
@@ -253,7 +252,7 @@ class NpOnlineClosure:
         self._nq = 0
         self._lgen = st.layout_gen
 
-    # -- the _OnlineClosure surface -----------------------------------------
+    # -- the SPClosure surface ----------------------------------------------
 
     def component(self, tid: int) -> int:
         cl = self._cl
@@ -298,7 +297,7 @@ class NpOnlineClosure:
             # have become movable (see module docstring), so the
             # fix-point is unchanged.
             return self
-        st = self._owner._np
+        st = self._st
         np = st.np
         nq = st.nq
         self._sync(np, st, nq)
@@ -349,7 +348,6 @@ class NpOnlineClosure:
             contrib &= lv[1] > clock.take(q_tid.take(qsc))
             rows = rr[contrib]
             if rows.size:
-                self._owner._closure_iterations += len(lids)
                 join = st.pool[rows].max(axis=0)
                 w = join.size
                 if w > len(clock):

@@ -386,7 +386,7 @@ def on_enable(hook: Callable[[], Optional[Callable[[], None]]]) -> None:
     ``hook()`` runs at every activation and may return an undo callable
     run at :func:`disable`.  If telemetry is already active the hook
     runs immediately.  This is how per-call-hot modules (``vc/``,
-    ``locks/history.py``) attach counting wrappers without leaving any
+    ``core/closure.py``) attach counting wrappers without leaving any
     code on the disabled path.
     """
     pair: List[Any] = [hook, None]

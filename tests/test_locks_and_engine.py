@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.closure import SPClosureEngine
+from repro.core.closure import SPClosure, SPClosureEngine
 from repro.locks.history import CSHistories
 from repro.trace.builder import TraceBuilder
 from repro.vc.clock import VectorClock
@@ -26,48 +26,60 @@ def lock_id(trace, name):
 
 
 class TestCSHistories:
+    """The history built up front, read by the one Algorithm 1 engine."""
+
+    @staticmethod
+    def closure_over(trace, ts):
+        return SPClosure(CSHistories.from_trace(trace, ts))
+
     def test_entries_carry_release_timestamps(self, two_cs_trace):
         ts = TRFTimestamps(two_cs_trace)
-        hist = CSHistories(two_cs_trace, ts)
+        hist = CSHistories.from_trace(two_cs_trace, ts)
         lid = lock_id(two_cs_trace, "l")
-        join = hist.advance_lock(lid, ts.of(5))  # everything inside
+        (slot1, rec1), = [(s, r) for (s, l), rs in hist.records.items()
+                          if l == lid for r in rs if r.acq_idx == 0]
+        assert (rec1.slot, rec1.acq_val) == (slot1, 1)
+        assert rec1.rel_ts == ts.of(2) and rec1.rel_val == 3
         # Both acquires are inside; earlier CS (t1's) must close; its
         # release timestamp is already ⊑ the query clock, so no growth.
-        assert join is None
+        assert SPClosure(hist).compute(ts.of(5)) == ts.of(5)
 
     def test_earlier_release_forced(self, two_cs_trace):
         ts = TRFTimestamps(two_cs_trace)
-        hist = CSHistories(two_cs_trace, ts)
         # Clock covering both acquires but not t1's release: join of
         # acq timestamps.
         clock = ts.of(0).join(ts.of(3))
-        join = hist.advance_lock(lock_id(two_cs_trace, "l"), clock)
-        assert join is not None
-        assert ts.of(2).leq(join)  # t1's release must enter
+        out = self.closure_over(two_cs_trace, ts).compute(clock)
+        assert out != clock
+        assert ts.of(2).leq(out)  # t1's release must enter
+        assert not ts.of(5).leq(out)  # the latest section stays open
 
     def test_single_acquire_never_forces(self):
         t = TraceBuilder().acq("t1", "l").write("t1", "x").build()
         ts = TRFTimestamps(t)
-        hist = CSHistories(t, ts)
-        assert hist.advance_lock(lock_id(t, "l"), ts.of(1)) is None
+        assert self.closure_over(t, ts).compute(ts.of(1)) == ts.of(1)
 
     def test_cursor_persistence(self, two_cs_trace):
-        """Cursors never rewind within a run; reset() restores them."""
+        """Cursors never rewind within a check; reset() restarts them."""
         ts = TRFTimestamps(two_cs_trace)
-        hist = CSHistories(two_cs_trace, ts)
+        engine = SPClosureEngine(two_cs_trace, ts)
         lid = lock_id(two_cs_trace, "l")
         small = ts.of(0)
-        hist.advance_lock(lid, small)
+        assert engine.compute(small) == small
+        row = engine._closure._by_lock[lid]
+        assert row[0::2] == [1, 0]   # t1's cursor moved past its acquire
         # Larger query later sees the same (persisted) last entries.
         big = ts.of(0).join(ts.of(3))
-        join = hist.advance_lock(lid, big)
-        assert join is not None
-        hist.reset()
-        assert hist.advance_lock(lid, small) is None  # one acquire only
+        assert ts.of(2).leq(engine.compute(big))
+        assert engine._closure._by_lock[lid] is row
+        assert row[0::2] == [1, 1]
+        engine.reset()
+        assert engine._closure._by_lock == {}
+        assert engine.compute(small) == small  # one acquire only
 
     def test_locks_listing(self, two_cs_trace):
         ts = TRFTimestamps(two_cs_trace)
-        hist = CSHistories(two_cs_trace, ts)
+        hist = CSHistories.from_trace(two_cs_trace, ts)
         assert hist.locks == [lock_id(two_cs_trace, "l")]
 
 

@@ -159,6 +159,33 @@ class TestSpanTree:
         # after disable the probes are unregistered from the totals
         assert obs.snapshot()["counters"] == {}
 
+    def test_closure_counters_follow_the_one_engine(self):
+        """``cs.*`` wrap the closure both detectors run: an online run
+        reports advances too, an offline one its per-check resets, and
+        disable unwinds both wrappers."""
+        import repro.kernels as kernels
+        from repro.core.closure import SPClosure, SPClosureEngine
+        from repro.core.spd_offline import spd_offline
+        from repro.core.spd_online import spd_online
+        from repro.trace.parser import load_trace
+
+        trace = load_trace(os.path.join(CORPUS, "sigma2.std"))
+        orig = (SPClosure._advance_lock, SPClosureEngine.reset)
+        obs.enable(None)
+        before = obs.snapshot()["counters"]
+        assert spd_online(trace).num_reports == 1
+        online = obs.snapshot()["counters"]
+        assert online["cs.advance"] > before["cs.advance"]
+        assert online["cs.contributions"] > before["cs.contributions"]
+        assert online["cs.resets"] == before["cs.resets"]
+        with kernels.use("python"):
+            assert spd_offline(trace).num_deadlocks == 1
+        offline = obs.snapshot()["counters"]
+        assert offline["cs.resets"] > online["cs.resets"]
+        assert offline["cs.advance"] > online["cs.advance"]
+        obs.disable()
+        assert (SPClosure._advance_lock, SPClosureEngine.reset) == orig
+
 
 # -- per-cell rollups through the runners -------------------------------
 

@@ -337,16 +337,18 @@ def assert_sweep_invariants(det, before):
     acquire values (the per-lock index shares those lists), and every
     closure cursor was rebased onto the trimmed history — it names its
     last-consumed record's new position, or 0 once that was evicted."""
-    for key, records in det.cs_history.items():
-        assert det._acq_cols[key] == [rec.acq_val for rec in records], key
-    for lid, hists in det._lock_hists.items():
-        assert [h[0] for h in hists] == det.threads_with_lock[lid]
+    hist = det.histories
+    for key, records in hist.records.items():
+        assert hist.cols[key] == [rec.acq_val for rec in records], key
+    for lid, hists in hist.by_lock.items():
+        assert [h[0] for h in hists] == \
+            [tid for (tid, l) in hist.records if l == lid]
         for tid, records, col in hists:
-            assert records is det.cs_history[(tid, lid)]
-            assert col is det._acq_cols[(tid, lid)]
+            assert records is hist.records[(tid, lid)]
+            assert col is hist.cols[(tid, lid)]
     for closure in det._closures.values():
         for lid, row in closure._by_lock.items():
-            hists = det._lock_hists[lid]
+            hists = hist.by_lock[lid]
             for i in range(0, len(row), 2):
                 tid, records, col = hists[i // 2]
                 old_cursor, last = before.get((id(closure), lid, i),
@@ -462,11 +464,11 @@ class TestCheckpointRestore:
         assert online_key(det.reports) == online_key(ref.reports)
 
     def test_restore_rebinds_closure_owners(self):
-        """Regression: closures pickled with an ``_owner`` backref must
-        track the *restored* detector — with bounded-memory compaction
-        a stale owner freezes ``cs_log_base`` and desynchronizes the
-        dirty-tracking, so a resumed bounded run must stay identical to
-        an uninterrupted one."""
+        """Regression: closures must read the *restored* detector's
+        history — with bounded-memory compaction a stale one freezes
+        the log base and desynchronizes the dirty-tracking, so a
+        resumed bounded run must stay identical to an uninterrupted
+        one."""
         for seed in range(0, QUICK_ITERS, 13):
             compiled = as_trace(generate_random_trace(config_for(seed))).compiled
             n = len(compiled)
@@ -477,29 +479,29 @@ class TestCheckpointRestore:
             det.feed_batch(compiled, 0, n // 2)
             resumed = SPDOnline.restore(det.checkpoint())
             for closure in resumed._closures.values():
-                assert closure._owner is resumed
+                assert closure._hist is resumed.histories
             resumed.feed_batch(compiled, n // 2, n)
             assert online_key(resumed.reports) == \
                 online_key(straight.reports), f"seed={seed}"
-            assert resumed.cs_log_base == straight.cs_log_base, f"seed={seed}"
+            assert resumed.histories.log_base == \
+                straight.histories.log_base, f"seed={seed}"
 
     def test_blob_pickles_canonical_state_only(self):
         """The value columns and the per-lock history index derive from
-        ``cs_history``: blobs leave them out (as they leave out the
-        numpy mirror), so every blob pickles the same state keys, and
-        restore rebuilds them equal to the live detector's."""
+        the history's records: blobs leave them out (as they leave out
+        the numpy mirror), so every blob pickles the same state keys,
+        and restore rebuilds them equal to the live detector's."""
         import pickle
 
         keys = {
-            "_acq_seq", "_clocks", "_closure_iterations", "_closures",
-            "_ctx_cursor", "_deadlock_checks", "_events_seen",
-            "_evict_period", "_evicted_counts", "_evicted_rel",
+            "_acq_seq", "_clocks", "_closures", "_ctx_cursor",
+            "_deadlock_checks", "_events_seen", "_evict_period",
             "_evictions", "_held", "_last_write", "_lid", "_lock_names",
             "_next_evict", "_open_cs", "_pair_threads", "_thread_names",
-            "_tid", "_vid", "cs_history", "cs_log", "cs_log_base",
-            "locks_of_thread", "max_memory_events", "reports",
-            "threads_with_lock", "universe",
+            "_tid", "_vid", "histories", "max_memory_events", "reports",
+            "universe",
         }
+        history_keys = {"records", "log", "log_base", "evicted"}
         k_keys = keys | {"_contexts", "_pred", "_sig_entries", "_sig_index",
                          "_sigs", "_succ", "k_reports", "max_size"}
         compiled = as_trace(generate_random_trace(RandomTraceConfig(
@@ -511,13 +513,16 @@ class TestCheckpointRestore:
             det.run(compiled)
             blob = det.checkpoint()
             assert set(pickle.loads(blob)[1]) == want, type(det).__name__
+            assert set(det.histories.__getstate__()) == history_keys
             out = type(det).restore(blob)
-            assert out._acq_cols == det._acq_cols
-            for lid, hists in det._lock_hists.items():
+            assert out.histories.cols == det.histories.cols
+            assert out.histories.locks_of_thread == \
+                det.histories.locks_of_thread
+            for lid, hists in det.histories.by_lock.items():
                 assert [(tid, col) for tid, _, col in hists] == \
-                    [(tid, col) for tid, _, col in out._lock_hists[lid]]
-                for tid, records, _ in out._lock_hists[lid]:
-                    assert records is out.cs_history[(tid, lid)]
+                    [(tid, col) for tid, _, col in out.histories.by_lock[lid]]
+                for tid, records, _ in out.histories.by_lock[lid]:
+                    assert records is out.histories.records[(tid, lid)]
 
     def test_restore_rejects_other_detector_kind(self):
         det = SPDOnlineK(max_size=3)
@@ -526,13 +531,16 @@ class TestCheckpointRestore:
             SPDOnline.restore(blob)
         assert isinstance(SPDOnlineK.restore(blob), SPDOnlineK)
 
-    def test_restore_rejects_stale_blobs(self):
+    def test_restore_rejects_stale_blobs(self, monkeypatch):
         """Blobs that pickled closure or context objects (the formats
-        before canonical clocks) are refused as stale, not rebound."""
+        before canonical clocks), or that keep the critical-section
+        history in flat detector fields (the layout before
+        ``CSHistories``), are refused as stale, not rebound."""
+        import importlib
         import pickle
 
         import repro.kernels as kernels
-        from repro.core.spd_online import _OnlineClosure
+        from repro.core.closure import SPClosure
 
         trace = as_trace(load_trace(os.path.join(
             os.path.dirname(CORPUS[0]), "sigma2.std")))
@@ -541,10 +549,48 @@ class TestCheckpointRestore:
             det.run(trace.compiled)
             kind, state = pickle.loads(det.checkpoint())
             assert state["_closures"]
-            state["_closures"] = {ctx: _OnlineClosure(det)
+            state["_closures"] = {ctx: SPClosure(det.histories)
                                   for ctx in state["_closures"]}
             with pytest.raises(ValueError, match="stale SPDOnline "):
                 SPDOnline.restore(pickle.dumps((kind, state)))
+
+            # The flat layout: the history's fields as top-level keys.
+            kind, state = pickle.loads(det.checkpoint())
+            hist = state.pop("histories")
+            threads_with_lock = {}
+            for tid, lid in hist.records:
+                threads_with_lock.setdefault(lid, []).append(tid)
+            state.update(
+                cs_history=hist.records, cs_log=hist.log,
+                cs_log_base=hist.log_base, _evicted_rel=hist.evicted,
+                _evicted_counts={}, _closure_iterations=0,
+                threads_with_lock=threads_with_lock,
+                locks_of_thread=hist.locks_of_thread)
+            with pytest.raises(ValueError, match="stale SPDOnline "):
+                SPDOnline.restore(pickle.dumps((kind, state)))
+
+            # ...whose records were instances of a class that is gone:
+            # unpickling fails on the class lookup, reported as stale.
+            spd_mod = importlib.import_module("repro.core.spd_online")
+
+            class _CSRecord:
+                __slots__ = ("acq_idx", "tid", "acq_val", "rel_val",
+                             "rel_ts")
+
+            _CSRecord.__module__ = spd_mod.__name__
+            _CSRecord.__qualname__ = "_CSRecord"
+            monkeypatch.setattr(spd_mod, "_CSRecord", _CSRecord,
+                                raising=False)
+            for records in state["cs_history"].values():
+                for i, rec in enumerate(records):
+                    old = records[i] = _CSRecord()
+                    old.acq_idx, old.tid, old.acq_val = \
+                        rec.acq_idx, rec.slot, rec.acq_val
+                    old.rel_val, old.rel_ts = rec.rel_val, rec.rel_ts
+            blob = pickle.dumps((kind, state))
+            monkeypatch.delattr(spd_mod, "_CSRecord")
+            with pytest.raises(ValueError, match="stale SPDOnline "):
+                SPDOnline.restore(blob)
 
             det = SPDOnlineK(max_size=3)
             det.run(generate_random_trace(RandomTraceConfig(
