@@ -17,6 +17,11 @@ context over the history it fills live, and SPDOffline checks each
 abstract pattern with a fresh one over the history
 :class:`SPClosureEngine` builds up front.  The offline check is thus an
 online closure over a history known in advance, reset per pattern.
+The engine also keeps each acquire's prefix closure
+``P[e] = SPClosure(pred(e))``, computed by one more closure per thread
+that sweeps the thread's acquires in order; from those, Algorithm 2
+decides most instantiations with one epoch test
+(:mod:`repro.core.spd_offline`).
 
 Only the *per-thread last* acquire inside the closure matters: earlier
 acquires of the same thread on the same lock release the lock before
@@ -28,7 +33,7 @@ open in the witness reordering, so its release is not forced in.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import repro.obs as obs
@@ -219,15 +224,19 @@ class SPClosure:
                 latest = rec
         joins: Optional[List[VectorClock]] = extra
         for rec in candidates:
-            if rec is latest or rec.rel_ts is None:
-                continue
+            rel_val = rec.rel_val
+            if rec is latest or rel_val is None:
+                continue  # the open-section test: no release yet
             bound = tv[rec.slot] if rec.slot < ltv else 0
-            if rec.rel_val <= bound:
+            if rel_val <= bound:
                 continue  # release already inside the closure
+            rel_ts = rec.rel_ts
+            if rel_ts is None:
+                rel_ts = hist.release_ts(rec)
             if joins is None:
-                joins = [rec.rel_ts]
+                joins = [rel_ts]
             else:
-                joins.append(rec.rel_ts)
+                joins.append(rel_ts)
         return joins
 
     def rebase(self, trimmed: Dict[Tuple[int, int], int]) -> None:
@@ -285,6 +294,16 @@ class SPClosureEngine:
     which is exactly the Proposition 4.4 reuse that makes Algorithm 2
     linear overall.  Call :meth:`reset` between independent
     abstract-pattern checks.
+
+    It also owns the *prefix closures* ``P[e] = SPClosure(pred(e))`` of
+    acquires (:meth:`prefix`), lazy and memoized per acquire.  For two
+    acquires ``e < e'`` of one thread ``pred(e) ≤TO pred(e')``, so one
+    :class:`SPClosure` per thread, seeded with its acquires'
+    predecessors in thread order, reaches each ``P[e]`` in turn with
+    cursors that never rewind: linear per thread (Lemma 4.3).  A caller
+    that names its acquires up front (:meth:`name_acquires`) has each
+    thread swept once; a request behind a thread's sweep restarts it,
+    so a caller asking in any order still gets exact values.
     """
 
     def __init__(self, trace: Trace, timestamps: TRFTimestamps | None = None) -> None:
@@ -292,6 +311,16 @@ class SPClosureEngine:
         self.timestamps = timestamps or TRFTimestamps(trace)
         self.histories = CSHistories.from_trace(trace, self.timestamps)
         self._closure = SPClosure(self.histories)
+        #: acquire -> ``P[e]``, a snapshot of its thread sweep's clock
+        self.prefixes: Dict[int, VectorClock] = {}
+        #: thread slot -> acquires named up front, in thread order
+        self._named: Dict[int, List[int]] = {}
+        #: thread slot -> [its sweep's closure, last acquire it reached]
+        self._sweeps: Dict[int, list] = {}
+        #: Algorithm 2 tallies: instantiations decided by the prefix
+        #: closures, and those that took an exact fix-point
+        self.prefiltered = 0
+        self.exact = 0
 
     def reset(self) -> None:
         """Start a fresh check: a new closure, O(1)."""
@@ -308,6 +337,45 @@ class SPClosureEngine:
         """
         obs.count("closure.compute")
         return self._closure.compute(t0).snapshot()
+
+    def name_acquires(self, events: Iterable[int]) -> None:
+        """Announce acquires whose :meth:`prefix` will be asked for, so
+        that each thread's sweep reaches them all in one pass."""
+        slots = self.timestamps._slots
+        named: Dict[int, Set[int]] = {}
+        for e in events:
+            named.setdefault(slots[e], set()).add(e)
+        for slot, acquires in named.items():
+            acquires.update(self._named.get(slot, ()))
+            self._named[slot] = sorted(acquires)
+
+    def prefix(self, e: int) -> VectorClock:
+        """``P[e]``: the closure timestamp of ``pred(e)``, memoized.
+
+        On its way to ``e`` the thread's sweep also computes every
+        named acquire it passes.  The returned clock is full width and
+        shared: callers copy before joining into it.
+        """
+        p = self.prefixes.get(e)
+        if p is not None:
+            return p
+        ts = self.timestamps
+        slot = ts._slots[e]
+        sweep = self._sweeps.get(slot)
+        if sweep is None or sweep[1] > e:
+            closure = SPClosure(self.histories)
+            closure.join_seed(VectorClock.bottom(len(ts.universe)))
+            sweep = self._sweeps[slot] = [closure, -1]
+        closure = sweep[0]
+        prefixes = self.prefixes
+        pred_timestamp = ts.pred_timestamp
+        named = self._named.get(slot, ())
+        for w in named[bisect_right(named, sweep[1]):bisect_left(named, e)]:
+            if w not in prefixes:
+                prefixes[w] = closure.compute(pred_timestamp(w)).snapshot()
+        sweep[1] = e
+        p = prefixes[e] = closure.compute(pred_timestamp(e)).snapshot()
+        return p
 
     def timestamp_of_events(self, events: Iterable[int]) -> VectorClock:
         """``TS(S) = ⨆ {TS(e)}`` for an event set."""

@@ -10,8 +10,6 @@ API of the subsystem it accelerates:
   included, so :class:`repro.stream.StreamSession` benefits too).
 - :mod:`repro.kernels.alg_np` — abstract-lock-graph edge construction
   as a sorted join plus held-set bitmasks.
-- :mod:`repro.kernels.offline_np` — Algorithm 2 (``CheckAbsDdlck``)
-  batched across *all* abstract patterns in lockstep.
 - :mod:`repro.kernels.online_np` — the per-context Algorithm 1 closure
   of SPDOnline (and of SPDOnlineK's contexts) over flat row arrays.
   An exact detector starts on the python closure and promotes to this
@@ -19,9 +17,12 @@ API of the subsystem it accelerates:
   (``repro.core.spd_online.PROMOTE_HISTORIES``); narrower streams never
   reach it, even under ``numpy``.
 
-FastTrack, Goodlock, the naive checker and SPDOnlineK's signature
-sweep have python loops only; under numpy they still run on the
-index, ALG, offline and online kernels above.
+FastTrack, Goodlock, the naive checker, SPDOnlineK's signature sweep
+and SPDOffline's phase 2 (Algorithm 2) have python loops only; under
+numpy they still run on the index, ALG and online kernels above.
+Phase 2's prefix closures (:mod:`repro.core.spd_offline`) decide most
+pattern instantiations without a fix-point, which left the batched
+numpy pattern check no margin to earn its code.
 
 Backend selection
 -----------------

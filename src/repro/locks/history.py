@@ -8,7 +8,11 @@ serves both detectors, filled in one of two ways:
 - up front, by :meth:`CSHistories.from_trace`: one pass over a trace's
   compiled columns, releases taken from ``index.match`` (SPDOffline and
   every other offline closure user, through
-  :class:`repro.core.closure.SPClosureEngine`);
+  :class:`repro.core.closure.SPClosureEngine`).  A record gets its
+  release's epoch value at once, and its full release clock from the
+  TRF store only at the first closure join that needs it
+  (:meth:`CSHistories.release_ts`), so a release no closure joins
+  never builds its clock;
 - live, by SPDOnline: :meth:`CSHistories.append` at an acquire, the
   record's release fields set at its release, and closed prefixes
   trimmed into summary clocks by :meth:`CSHistories.evict` under
@@ -61,7 +65,8 @@ class CSRecord:
     tiebreaker) and ``(slot, acq_val)`` its timestamp epoch: closure
     membership of the acquire is exactly ``acq_val <= T[slot]``.
     ``rel_val``/``rel_ts`` are the matching release's own component
-    and full timestamp, ``None`` while the section is open.
+    and full timestamp, ``None`` while the section is open (a history
+    built up front leaves ``rel_ts`` to :meth:`CSHistories.release_ts`).
     """
 
     __slots__ = ("acq_idx", "slot", "acq_val", "rel_val", "rel_ts")
@@ -77,6 +82,11 @@ class CSRecord:
 class CSHistories:
     """Per-(thread, lock) critical-section histories, shared by every
     closure over one trace or stream."""
+
+    #: TRF store and release column of a history built up front, the
+    #: source of :meth:`release_ts` (live histories set ``rel_ts``)
+    _timestamps: Optional[TRFTimestamps] = None
+    _match = None
 
     def __init__(self) -> None:
         #: (slot, lock) -> its records in acquire order
@@ -100,7 +110,8 @@ class CSHistories:
         out = cls()
         trace = as_trace(trace)
         ops, _, targs = trace.compiled.columns()
-        match = trace.index.match
+        out._timestamps = timestamps
+        out._match = match = trace.index.match
         slots = timestamps._slots
         vals = timestamps._vals
         records = out.records
@@ -116,9 +127,13 @@ class CSHistories:
             rel = match[i]
             if rel >= 0:
                 rec.rel_val = vals[rel]
-                rec.rel_ts = timestamps.of(rel)
             records[key].append(rec)
             cols[key].append(rec.acq_val)
+        return out
+
+    def release_ts(self, rec: CSRecord) -> VectorClock:
+        """``rec``'s release clock, filled from the TRF store on first use."""
+        rec.rel_ts = out = self._timestamps.of(self._match[rec.acq_idx])
         return out
 
     def _index(self) -> None:

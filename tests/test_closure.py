@@ -145,52 +145,43 @@ class TestEngineIncrementalReuse:
 
 
 class TestEngineInPlaceJoins:
-    """``SPClosureEngine.compute``'s callers (Algorithm 2 in
-    ``check_pattern_sequences``, its race analog in ``core.races``)
-    join predecessor clocks into the clock it returned and pass that
-    clock back.  At every such step the engine must reach the exact
-    fix-point of the joined clock: a ``compute`` that handed out the
-    closure's own clock would let those joins bypass its dirty-lock
-    worklist."""
+    """``SPClosureEngine.compute``'s callers that join in place (Algorithm
+    2's plain walk, kept as the oracle in ``tests/test_prefix_walk.py``,
+    and its race analog in ``core.races``) join predecessor clocks into
+    the clock it returned and pass that clock back.  At every such step
+    the engine must reach the exact fix-point of the joined clock: a
+    ``compute`` that handed out the closure's own clock would let those
+    joins bypass its dirty-lock worklist."""
 
     @staticmethod
     def walk(trace):
-        """Algorithm 2 over every abstract pattern of ``trace``, joining
-        in place; checks each step against a fresh engine.  Returns
-        (steps, steps whose fix-point grew past the joined clock)."""
+        """The oracle walk over every abstract pattern of ``trace``,
+        with each step checked against a fresh engine.  Returns (steps,
+        steps whose fix-point grew past the joined clock)."""
         from repro.core.alg import abstract_deadlock_patterns
-        from repro.vc.clock import VectorClock
+        from tests.test_prefix_walk import oracle_check_pattern_sequences
 
         _, abstracts = abstract_deadlock_patterns(trace, max_size=4,
                                                   max_cycles=200)
         engine = SPClosureEngine(trace)
         ts = engine.timestamps
-        steps = grew = 0
+        compute = engine.compute
+        counts = [0, 0]
+
+        def checked(t_clock):
+            joined = t_clock.copy()
+            out = compute(t_clock)
+            want = SPClosureEngine(trace, ts).compute(joined.copy())
+            assert out == want, trace.name
+            counts[0] += 1
+            counts[1] += out != joined
+            return out
+
+        engine.compute = checked
         for abstract in abstracts:
-            sequences = [a.events for a in abstract.acquires]
-            k = len(sequences)
-            engine.reset()
-            pointers = [0] * k
-            t_clock = VectorClock.bottom(len(ts.universe))
-            while all(pointers[j] < len(sequences[j]) for j in range(k)):
-                current = [sequences[j][pointers[j]] for j in range(k)]
-                for idx in current:
-                    t_clock.join_with(ts.pred_timestamp(idx))
-                joined = t_clock.copy()
-                t_clock = engine.compute(t_clock)
-                want = SPClosureEngine(trace, ts).compute(joined.copy())
-                assert t_clock == want, (trace.name, current)
-                steps += 1
-                grew += t_clock != joined
-                if all(not ts.leq_clock(e, t_clock) for e in current):
-                    break
-                for j in range(k):
-                    seq = sequences[j]
-                    i = pointers[j]
-                    while i < len(seq) and ts.leq_clock(seq[i], t_clock):
-                        i += 1
-                    pointers[j] = i
-        return steps, grew
+            oracle_check_pattern_sequences(
+                engine, [a.events for a in abstract.acquires])
+        return tuple(counts)
 
     def test_corpus(self):
         import glob

@@ -383,7 +383,6 @@ class TestDispatchAccounting:
 
         assert grew("kernels.index_extend.numpy")
         assert grew("kernels.online_closure.numpy")
-        assert grew("kernels.offline_check.numpy")
 
     def test_narrow_stream_stays_python(self):
         """A live_sessions-shaped stream (4 threads x 5 locks) never
@@ -427,37 +426,20 @@ class TestDispatchAccounting:
         assert promotions == [expected]
 
 
-# -- offline kernel: sorted unique without numpy.ma -------------------------
+# -- offline run: numpy kernels without numpy.ma ---------------------------
 
 
 @needs_numpy
 class TestOfflineSortedUnique:
-    """``offline_np`` dedups with its own sort-based helper instead of
-    ``np.unique``, whose numpy >= 2.3 version imports ``numpy.ma``."""
-
-    def test_matches_np_unique(self):
-        import numpy as np
-
-        from repro.kernels.offline_np import _sorted_unique
-
-        rng = np.random.default_rng(17)
-        cases = [np.array([], dtype=np.int64),
-                 np.array([7], dtype=np.int64),
-                 np.full(9, -3, dtype=np.int64),
-                 np.array([5, -1, 5, -9, 0, -1], dtype=np.int64)]
-        for n in (2, 3, 10, 100, 1000):
-            for span in (1, 4, 50, 10**12):
-                cases.append(rng.integers(-span, span + 1, size=n,
-                                          dtype=np.int64))
-        for a in cases:
-            got = _sorted_unique(np, a.copy())
-            want = np.unique(a)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want), a
+    """A numpy-backed ``spd_offline`` run never imports ``numpy.ma``
+    (``np.unique`` does since numpy 2.3), which would cost every
+    offline process its import time and memory."""
 
     def test_spd_offline_leaves_numpy_ma_unloaded(self):
         """Fresh interpreter: a numpy-backed ``spd_offline`` run that
-        checks at least one pattern never imports ``numpy.ma``."""
+        checks at least one pattern never imports ``numpy.ma``.  The
+        input is above the index and ALG size floors, so both numpy
+        kernels run."""
         import subprocess
         import sys
 
@@ -465,17 +447,23 @@ class TestOfflineSortedUnique:
             "import sys\n"
             "import repro.kernels as kernels\n"
             "from repro.core.spd_offline import spd_offline\n"
-            "from repro.trace.compiled import load_compiled_trace\n"
+            "from repro.synth.random_traces import (\n"
+            "    RandomTraceConfig, generate_random_trace)\n"
             "kernels.set_backend('numpy')\n"
-            "res = spd_offline(load_compiled_trace(sys.argv[1]))\n"
+            "trace = generate_random_trace(RandomTraceConfig(\n"
+            "    num_threads=6, num_locks=8, num_vars=8, num_events=600,\n"
+            "    acquire_prob=0.35, max_nesting=3, seed=2))\n"
+            "res = spd_offline(trace, max_size=2)\n"
             "assert res.num_abstract_patterns >= 1\n"
-            "assert kernels.counters().get('kernels.offline_check.numpy')\n"
+            "c = kernels.counters()\n"
+            "assert c.get('kernels.index_extend.numpy')\n"
+            "assert c.get('kernels.alg_edges.numpy')\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-c", script, os.path.join(CORPUS, "sigma2.std")],
+            [sys.executable, "-c", script],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"

@@ -39,7 +39,11 @@ class TestCSHistories:
         (slot1, rec1), = [(s, r) for (s, l), rs in hist.records.items()
                           if l == lid for r in rs if r.acq_idx == 0]
         assert (rec1.slot, rec1.acq_val) == (slot1, 1)
-        assert rec1.rel_ts == ts.of(2) and rec1.rel_val == 3
+        assert rec1.rel_val == 3
+        # The full release clock is built at the first join needing it.
+        assert rec1.rel_ts is None
+        assert hist.release_ts(rec1) == ts.of(2)
+        assert rec1.rel_ts == ts.of(2)
         # Both acquires are inside; earlier CS (t1's) must close; its
         # release timestamp is already ⊑ the query clock, so no growth.
         assert SPClosure(hist).compute(ts.of(5)) == ts.of(5)

@@ -186,6 +186,48 @@ class TestSpanTree:
         obs.disable()
         assert (SPClosure._advance_lock, SPClosureEngine.reset) == orig
 
+    def test_offline_phases_are_sibling_spans_with_walk_counters(
+            self, monkeypatch):
+        """``spd_offline`` opens one span per perfbench layer key, side
+        by side, and counts its phase-2 walk once per run: every
+        instantiation the walk visits asks for the prefix closures of
+        its events, then is decided by them or by an exact fix-point."""
+        from repro.core.closure import SPClosureEngine
+        from repro.core.spd_offline import spd_offline
+        from repro.synth.random_traces import (
+            RandomTraceConfig,
+            generate_random_trace,
+        )
+
+        trace = generate_random_trace(RandomTraceConfig(
+            num_threads=4, num_locks=4, num_events=400, max_nesting=3,
+            acquire_prob=0.35, seed=3))
+        asked = []
+        prefix = SPClosureEngine.prefix
+
+        def counted(self, e):
+            asked.append(e)
+            return prefix(self, e)
+
+        monkeypatch.setattr(SPClosureEngine, "prefix", counted)
+        obs.enable(None)
+        with obs.span("run"):
+            assert spd_offline(trace, max_size=2).num_deadlocks > 0
+        paths = [s["path"] for s in obs.drain_spans() if s["k"] == "span"]
+        for name in ("alg.phase1", "vc.trf", "offline.phase2"):
+            assert paths.count("run/" + name) == 1, (name, paths)
+        c = obs.snapshot()["counters"]
+        assert c["offline.prefiltered"] > 0 and c["offline.exact"] > 0
+        # Size-2 patterns: two prefix closures per visited instantiation.
+        assert 2 * (c["offline.prefiltered"] + c["offline.exact"]) \
+            == len(asked)
+        assert c["offline.exact"] == c["closure.compute"]
+        assert c["offline.prefix"] >= len(set(asked))
+        obs.disable()
+        spd_offline(trace, max_size=2)
+        assert obs.drain_spans() == []
+        assert obs.snapshot()["counters"] == {}
+
 
 # -- per-cell rollups through the runners -------------------------------
 
