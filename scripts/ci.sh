@@ -27,11 +27,12 @@ echo "   streaming-session slice: tests/test_stream.py, the resilience +"
 echo "   chaos bit-identity suites: tests/test_resilience.py +"
 echo "   tests/test_chaos.py (inline and process-pool runners), the"
 echo "   kernel-vs-python differential suites: tests/test_kernels.py +"
-echo "   tests/test_kernels_round2.py, and their online promotion"
-echo "   differential: SPDOnline/SPDOnlineK promote to the numpy closure"
-echo "   at the first history, mid-stream or never, picked per seed; and"
-echo "   the prefix-walk differential: tests/test_prefix_walk.py, offline"
-echo "   phase 2's prefix-closure walk against Algorithm 2's plain walk) =="
+echo "   tests/test_kernels_round2.py; the prefix-walk differential:"
+echo "   tests/test_prefix_walk.py, offline phase 2's prefix-closure walk"
+echo "   against Algorithm 2's plain walk; and the prefix-seeding"
+echo "   differential: tests/test_prefix_seed.py, SPDOnline/SPDOnlineK"
+echo "   contexts started from per-thread prefix closures against fresh"
+echo "   closures, fed by step(), run() and checkpoint/restore cuts) =="
 echo "-- backend: auto (numpy kernels when installed, imported at first use) --"
 python -c "import sys, repro.kernels as k; print('resolved backend:', k.backend(), '| numpy loaded by resolving:', 'numpy' in sys.modules)"
 python -m pytest -x -q
@@ -83,8 +84,8 @@ case "${REPRO_FUZZ_ITERS:-0}" in
     0)
         : ;;
     *)
-        echo "== streaming + kernel + prefix-walk fuzz loops + seeded detector fault sweeps (REPRO_FUZZ_ITERS=${REPRO_FUZZ_ITERS}) =="
+        echo "== streaming + kernel + prefix-walk + prefix-seed fuzz loops + seeded detector fault sweeps (REPRO_FUZZ_ITERS=${REPRO_FUZZ_ITERS}) =="
         python -m pytest -q -m fuzz tests/test_stream.py tests/test_chaos.py \
             tests/test_kernels.py tests/test_kernels_round2.py \
-            tests/test_prefix_walk.py ;;
+            tests/test_prefix_walk.py tests/test_prefix_seed.py ;;
 esac

@@ -11,17 +11,19 @@ closure of S under ``<=TRF`` is exactly ``{e | TS(e) ⊑ T}``), rule (a)
 is free and rule (b) becomes Algorithm 1's fix-point over critical-
 section histories (:mod:`repro.locks.history`).
 
-:class:`SPClosure` is the one python engine for that fix-point.  Both
+:class:`SPClosure` is the one engine for that fix-point.  Both
 detectors run it over the same history type: SPDOnline keeps one per
 context over the history it fills live, and SPDOffline checks each
 abstract pattern with a fresh one over the history
 :class:`SPClosureEngine` builds up front.  The offline check is thus an
 online closure over a history known in advance, reset per pattern.
-The engine also keeps each acquire's prefix closure
-``P[e] = SPClosure(pred(e))``, computed by one more closure per thread
-that sweeps the thread's acquires in order; from those, Algorithm 2
+Both detectors also keep prefix closures, one more closure per thread
+that follows the thread's acquires in order.  The engine memoizes each
+acquire's ``P[e] = SPClosure(pred(e))``, from which Algorithm 2
 decides most instantiations with one epoch test
-(:mod:`repro.core.spd_offline`).
+(:mod:`repro.core.spd_offline`); SPDOnline starts each new context from
+a :meth:`SPClosure.clone` of its thread's prefix closure
+(:mod:`repro.core.spd_online`).
 
 Only the *per-thread last* acquire inside the closure matters: earlier
 acquires of the same thread on the same lock release the lock before
@@ -76,8 +78,22 @@ class SPClosure:
         self._log_pos = -1
         self._pending: Set[int] = set()
 
+    def clone(self) -> "SPClosure":
+        """An independent closure over the same history, in this one's
+        state: clock, cursor rows, log cursor and dirty locks are
+        copied, so advancing either closure leaves the other untouched
+        (SPDOnline starts new contexts from a clone of a prefix
+        closure)."""
+        out = SPClosure.__new__(SPClosure)
+        out._hist = self._hist
+        out._by_lock = {lid: row[:] for lid, row in self._by_lock.items()}
+        out.clock = self.clock.copy()
+        out._log_pos = self._log_pos
+        out._pending = set(self._pending)
+        return out
+
     def canonical_clock(self) -> List[int]:
-        """Backend-agnostic checkpoint form (see SPDOnline.checkpoint).
+        """Checkpoint form (see SPDOnline.checkpoint).
 
         The closure state *is* its clock: cursors and candidates are
         derivable (a record is consumed iff its acquire value is ≤ the

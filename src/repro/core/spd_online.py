@@ -47,12 +47,37 @@ Representation (the performance model):
   values.  The records and columns live once, in the detector's
   history; a closure keeps only an int cursor and the last-consumed
   record per (lock, thread);
-- the closure backend is chosen by stream width.  The python closure
-  wins on narrow streams; once an exact detector records its
-  ``PROMOTE_HISTORIES``-th (thread, lock) history it promotes, once and
-  in place, to the numpy kernel (:mod:`repro.kernels.online_np`), which
-  wins on wide ones, and only then starts micro-batching its
-  ``checkDeadlock`` calls.  Bounded detectors stay python.
+- a new context does not start from an empty clock.  Each thread ``t``
+  keeps one more closure, its *prefix closure* ``P_t``, advanced
+  lazily: when an acquire of ``t`` opens a context, one incremental
+  compute brings ``P_t`` to the acquire's predecessor clock ``c_pred``,
+  and the context starts from a clone of ``P_t`` (its cursor rows
+  copied, not shared).  This is the online form of SPDOffline's
+  per-acquire prefix closures ``P[e]`` (:mod:`repro.core.closure`).
+
+Why prefix seeding is exact.  A thread's clock only grows, so the
+``c_pred`` values of its acquires are ⊑-monotone, and after
+``P_t.compute(c_pred)`` the clock of ``P_t`` is ``SPClosure(c_pred)``
+over the history recorded so far (Proposition 4.4).  History appended
+later is reached only through slot growth that ``join_update``
+reports, exactly as for any persistent context closure.  A fresh
+context closure's first check computes
+``SPClosure(c_pred ⊔ old.pred_ts)``; the clone computes
+``SPClosure(SPClosure(c_pred) ⊔ old.pred_ts)``, which is the same clock
+because the closure is extensive, monotone and idempotent.  From then
+on a context's state is determined by its clock (see
+:meth:`~repro.core.closure.SPClosure.canonical_clock`), so every epoch
+test, and so every report, is the one a fresh closure makes
+(``tests/test_prefix_seed.py`` keeps the fresh closure as its oracle).
+
+Under bounded-memory eviction every closure, prefix closures included,
+is rebased onto the trimmed history and can only grow, so every clone
+still contains the exact closure and every report stays a true
+deadlock.  Bounded reports may differ from those of fresh closures,
+though: a fresh closure folds the eviction summary of every history of
+each lock it touches, while a clone folds only the summaries its
+cursors had not passed, so its clock can stay smaller and let a report
+through that a fresh closure would have suppressed.
 """
 
 from __future__ import annotations
@@ -61,7 +86,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-import repro.kernels as kernels
+import repro.obs as obs
 from repro.core.closure import SPClosure
 from repro.core.patterns import DeadlockPattern, DeadlockReport
 from repro.locks.history import CSHistories, CSRecord
@@ -101,13 +126,6 @@ class _AcqEntry:
 # Context key: the ordered abstract pattern ⟨u, l', {l}⟩ vs ⟨t, l, {l'}⟩,
 # as interned ids.
 _Ctx = Tuple[int, int, int, int]
-
-#: deferred checkDeadlock calls buffered before a forced flush
-_MB_LIMIT = 64
-
-#: (thread, lock) histories at which an exact detector promotes its
-#: closures to the numpy kernel (see SPDOnline._promote)
-PROMOTE_HISTORIES = 64
 
 
 @dataclass
@@ -179,6 +197,8 @@ class SPDOnline(InterningDetectorMixin):
         self._pair_threads: Dict[Tuple[int, int], List[int]] = {}
         self._ctx_cursor: Dict[_Ctx, int] = {}
         self._closures: Dict[_Ctx, SPClosure] = {}
+        #: thread id -> its prefix closure (see _prefix_closure)
+        self._prefixes: Dict[int, SPClosure] = {}
         self.reports: List[OnlineReport] = []
         self._events_seen = 0
         # Bounded-memory eviction (None = keep everything, the exact
@@ -195,68 +215,33 @@ class SPDOnline(InterningDetectorMixin):
         # Instrumentation (cheap counters; see stats()).
         self._deadlock_checks = 0
         self._evictions = 0
-        # Vectorized closure backend (repro.kernels): numpy mirrors of
-        # the critical-section history, maintained write-through by the
-        # event handlers once an exact detector promotes (_promote).
-        # Eviction trims history prefixes, which the stateless numpy
-        # cursors cannot track, so bounded detectors stay python.
-        self._np = None
-        # Per-event micro-batch deferral (promoted detectors only):
-        # non-batchable checkDeadlock calls queue here and replay at
-        # flush boundaries — consecutive no-op checks of one context
-        # collapse into a single folded seed join, and the python path
-        # stays the inline differential oracle.
-        self._mb: Optional[List[tuple]] = None
-        if max_memory_events is None:
-            kernels.record_dispatch("online_closure", "python")
 
-    def _new_closure(self):
-        """Per-context closure of the active kernel backend.
+    def _prefix_closure(self, tid: int, c_pred: VectorClock) -> SPClosure:
+        """Thread ``tid``'s prefix closure, brought to
+        ``SPClosure(c_pred)`` by one incremental compute.
 
-        Both implementations compute the same (unique) Algorithm 1
-        fix-point over the same shared history; reports are
-        bit-identical (tests/test_kernels.py).
+        ``c_pred`` is the predecessor clock of the thread's current
+        acquire; the thread's predecessor clocks only grow, so the
+        closure never has to rewind (see the module docstring).
         """
-        if self._np is not None:
-            from repro.kernels.online_np import NpOnlineClosure
+        prefix = self._prefixes.get(tid)
+        if prefix is None:
+            prefix = self._prefixes[tid] = SPClosure(self.histories)
+        prefix.compute(c_pred)
+        return prefix
 
-            return NpOnlineClosure(self._np)
-        return SPClosure(self.histories)
+    def _context_closure(self, prefix: SPClosure) -> SPClosure:
+        """The closure a new context starts from: a clone of its
+        thread's prefix closure, already at the fix-point a fresh
+        closure would compute from the acquire's predecessor clock."""
+        return prefix.clone()
 
-    def _closure_from(self, values: List[int]):
-        """A closure of the active backend rebuilt from a canonical
-        clock (see :meth:`SPClosure.canonical_clock`)."""
-        closure = self._new_closure()
+    def _closure_from(self, values: List[int]) -> SPClosure:
+        """A closure rebuilt from a canonical clock (see
+        :meth:`SPClosure.canonical_clock`)."""
+        closure = SPClosure(self.histories)
         closure.seed_values(values)
         return closure
-
-    def _promote(self) -> None:
-        """Move an exact detector onto the numpy closure kernel.
-
-        Runs once, when the stream adds its ``PROMOTE_HISTORIES``-th
-        (thread, lock) history (or on restoring a blob that has that
-        many) and numpy is the resolved backend.  Narrower streams stay
-        on the python closure, which wins there; the promotion is
-        one-way and takes the restore path: history mirrors rebuilt
-        from the canonical records, each closure from its canonical
-        clock, so reports are bit-identical at any promotion point.
-        """
-        np_mod = kernels.numpy_or_none()
-        if np_mod is None:
-            return
-        from repro.kernels.online_np import NpOnlineState
-
-        self._np = NpOnlineState.from_history(np_mod, self.histories)
-        self._mb = []
-        kernels.record_dispatch("online_closure", "numpy")
-        self._closures = {
-            ctx: self._closure_from(closure.canonical_clock())
-            for ctx, closure in self._closures.items()
-        }
-        self._promote_extra()
-
-    def _promote_extra(self) -> None:
-        """Subclass hook: move extra closures onto the promoted kernel."""
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -288,15 +273,7 @@ class SPDOnline(InterningDetectorMixin):
         before = len(self.reports)
         op, tid, target_id = self._intern_event(event)
         self._step_coded(op, tid, target_id, event.loc)
-        if self._mb:
-            self._flush_checks()
         return self.reports[before:]
-
-    def feed_batch(self, compiled: CompiledTrace, lo: int, hi: int,
-                   base: int = 0) -> None:
-        super().feed_batch(compiled, lo, hi, base)
-        if self._mb:
-            self._flush_checks()
 
     def _step_coded(self, op: int, tid: int, target_id: int,
                     loc: Optional[str]) -> None:
@@ -323,9 +300,6 @@ class SPDOnline(InterningDetectorMixin):
                 rec = stack.pop()
                 rec.rel_val = clock[tid]
                 rec.rel_ts = clock.snapshot()
-                if self._np is not None:
-                    self._np.on_release(tid, target_id, rec.acq_val,
-                                        rec.rel_val, rec.rel_ts._v)
             held = self._held[tid]
             for j in range(len(held) - 1, -1, -1):
                 if held[j] == target_id:
@@ -350,17 +324,8 @@ class SPDOnline(InterningDetectorMixin):
         c_pred = clock.snapshot()
         clock.tick(tid)
         val = clock[tid]
-        # Record the critical section in the shared history; an exact
-        # detector promotes when this adds its PROMOTE_HISTORIES-th
-        # (thread, lock) history.
-        histories = self.histories
-        n_hist = len(histories.records)
-        rec = histories.append(tid, lid, idx, val)
-        if self._np is not None:
-            self._np.on_acquire(tid, lid, val, idx)
-        elif (n_hist < len(histories.records) == PROMOTE_HISTORIES
-              and self.max_memory_events is None):
-            self._promote()
+        # Record the critical section in the shared history.
+        rec = self.histories.append(tid, lid, idx, val)
         key = (tid, lid)
         open_stack = self._open_cs.get(key)
         if open_stack is None:
@@ -394,9 +359,11 @@ class SPDOnline(InterningDetectorMixin):
             else:
                 queue.append(entry)
 
-        # Check against queued opposing acquires: u acquired l2 holding lid.
+        # Check against queued opposing acquires: u acquired l2 holding
+        # lid.  New contexts start from this thread's prefix closure,
+        # brought to c_pred once per acquire.
         closures = self._closures
-        mb = self._mb
+        prefix = None
         for l2 in held_before:
             for u in pair_threads.get((l2, lid), ()):
                 if u == tid:
@@ -407,25 +374,15 @@ class SPDOnline(InterningDetectorMixin):
                 opp_ctx: _Ctx = (u, l2, tid, lid)
                 closure = closures.get(opp_ctx)
                 if closure is None:
-                    closure = self._new_closure()
+                    if prefix is None:
+                        prefix = self._prefix_closure(tid, c_pred)
+                    closure = self._context_closure(prefix)
                     closures[opp_ctx] = closure
-                if mb is None:
-                    self._check_deadlock(queue, len(queue), closure,
-                                         opp_ctx, c_pred, entry)
-                else:
-                    # Defer: capture the queue length now — entries
-                    # appended later are invisible to this check (their
-                    # acquire values postdate every timestamp the
-                    # closure can reach from this event's seeds).
-                    mb.append((queue, len(queue), closure, opp_ctx,
-                               c_pred, entry))
-        if mb is not None and len(mb) >= _MB_LIMIT:
-            self._flush_checks()
+                self._check_deadlock(queue, closure, opp_ctx, c_pred, entry)
 
     def _check_deadlock(
         self,
         queue: List[_AcqEntry],
-        n: int,
         closure: SPClosure,
         ctx: _Ctx,
         c_pred: VectorClock,
@@ -433,16 +390,14 @@ class SPDOnline(InterningDetectorMixin):
     ) -> None:
         """The ``checkDeadlock`` helper of Algorithm 4.
 
-        Walks the first ``n`` entries of the opposing acquire list from
-        this context's cursor (``n`` is the queue length at the
-        triggering event — the micro-batch replay passes the captured
-        length so deferred checks see exactly the event-time queue).
+        Walks the opposing acquire list from this context's cursor.
         Entries swallowed by the closure are skipped forever
         (Corollary 4.5); the first entry that survives the closure is a
         sync-preserving deadlock with ``new_entry``.
         """
         closure.join_seed(c_pred)
         cursor = self._ctx_cursor.get(ctx, 0)
+        n = len(queue)
         while cursor < n:
             old = queue[cursor]
             self._deadlock_checks += 1
@@ -465,49 +420,6 @@ class SPDOnline(InterningDetectorMixin):
             cursor += 1
         self._ctx_cursor[ctx] = cursor
 
-    def _flush_checks(self) -> None:
-        """Replay deferred checkDeadlock calls in arrival order.
-
-        Exactness: each deferred call replays against the queue prefix
-        captured at its event (``qn``), and the closure state it sees
-        is what the inline run would have seen — extra history recorded
-        between the event and the flush is either unreachable (a later
-        acquire's value exceeds every component any event-time seed can
-        produce) or redundant (a consumable candidate's release was
-        already recorded when its successor's acquire entered the
-        history).  Consecutive calls on one context with nothing left
-        to walk are pure seed joins, and sequential joins equal one
-        join of the folded seed — that collapse is the micro-batch
-        saving.
-        """
-        buf = self._mb
-        if not buf:
-            return
-        self._mb = []
-        kernels.record_dispatch("online_microbatch", "numpy",
-                                events=len(buf))
-        cursors = self._ctx_cursor
-        i = 0
-        n = len(buf)
-        while i < n:
-            queue, qn, closure, ctx, c_pred, entry = buf[i]
-            cursor = cursors.get(ctx, 0)
-            if cursor >= qn:
-                j = i + 1
-                while j < n and buf[j][2] is closure and buf[j][1] <= cursor:
-                    j += 1
-                if j - i == 1:
-                    closure.join_seed(c_pred)
-                else:
-                    acc = c_pred.copy()
-                    for t in range(i + 1, j):
-                        acc.join_with(buf[t][4])
-                    closure.join_seed(acc)
-                i = j
-                continue
-            self._check_deadlock(queue, qn, closure, ctx, c_pred, entry)
-            i += 1
-
     # -- bounded-memory eviction (Corollary 4.5 + summary clocks) -----------
 
     def _evict_stale(self) -> None:
@@ -521,8 +433,8 @@ class SPDOnline(InterningDetectorMixin):
         1. **Critical-section histories and their log** —
            :meth:`CSHistories.evict` trims closed records older than
            the horizon into per-history summary clocks and compacts the
-           append log; every closure then rebases its cursors
-           (:meth:`SPClosure.rebase`).
+           append log; every closure, the per-thread prefix closures
+           included, then rebases its cursors (:meth:`SPClosure.rebase`).
         2. **Guarded-acquire queues** (AcqHist) — entries older than
            the horizon can never be re-examined usefully at bounded
            memory; dropping them forfeits only the patterns they
@@ -535,8 +447,9 @@ class SPDOnline(InterningDetectorMixin):
             return
         trimmed = self.histories.evict(horizon)
         if trimmed:
-            for closure in self._closures.values():
-                closure.rebase(trimmed)
+            for closures in (self._closures, self._prefixes):
+                for closure in closures.values():
+                    closure.rebase(trimmed)
         acq_trim: Dict[Tuple[int, int, int], int] = {}
         for skey, queue in self._acq_seq.items():
             k = 0
@@ -567,22 +480,17 @@ class SPDOnline(InterningDetectorMixin):
         """
         import pickle
 
-        if self._mb:
-            self._flush_checks()
         state = dict(self.__dict__)
         state.pop("_synced_tabs", None)
-        # Closures serialize as their canonical clock (a plain int
-        # list): backend-agnostic and numpy-free, so a blob written
-        # under REPRO_KERNELS=numpy restores under python and vice
-        # versa.  The numpy history mirror is likewise dropped, and the
-        # history pickles its canonical records only (its columns and
-        # indexes are rebuilt on restore).
-        for derived in ("_np", "_mb"):
-            state.pop(derived, None)
-        state["_closures"] = {
-            ctx: closure.canonical_clock()
-            for ctx, closure in self._closures.items()
-        }
+        # Closures, the context and the prefix ones, serialize as their
+        # canonical clock (a plain int list), and the history pickles
+        # its canonical records only (its columns and indexes are
+        # rebuilt on restore).
+        for key in ("_closures", "_prefixes"):
+            state[key] = {
+                k: closure.canonical_clock()
+                for k, closure in getattr(self, key).items()
+            }
         self._checkpoint_extra(state)
         return pickle.dumps((type(self).__name__, state),
                             protocol=pickle.HIGHEST_PROTOCOL)
@@ -614,10 +522,7 @@ class SPDOnline(InterningDetectorMixin):
             )
         out = cls.__new__(cls)
         out.__dict__.update(state)
-        out._np = None
-        out._mb = None
-        # Closures checkpoint as canonical clocks; rebuild them on the
-        # python closure, then promote as a live detector would have.
+        # Closures checkpoint as canonical clocks; rebuild them.
         closures = {}
         for ctx, values in out._closures.items():
             if not isinstance(values, list):
@@ -628,11 +533,9 @@ class SPDOnline(InterningDetectorMixin):
                 )
             closures[ctx] = out._closure_from(values)
         out._closures = closures
+        out._prefixes = {tid: out._closure_from(values)
+                         for tid, values in out._prefixes.items()}
         out._restore_extra()
-        if out.max_memory_events is None:
-            kernels.record_dispatch("online_closure", "python")
-            if len(out.histories.records) >= PROMOTE_HISTORIES:
-                out._promote()
         return out
 
     def _restore_extra(self) -> None:
@@ -653,8 +556,6 @@ class SPDOnline(InterningDetectorMixin):
           eviction keeps O(horizon); asserted by the memory benchmark.
         - ``evictions``: eviction sweeps performed.
         """
-        if self._mb:
-            self._flush_checks()
         histories = self.histories
         cs_records = sum(len(v) for v in histories.records.values())
         acquire_entries = sum(len(v) for v in self._acq_seq.values())
@@ -725,3 +626,44 @@ class SPDOnlineResult:
 def spd_online(trace) -> SPDOnlineResult:
     """Run :class:`SPDOnline` over a complete trace."""
     return SPDOnline().run(trace)
+
+
+# -- telemetry ---------------------------------------------------------------
+#
+# Same patch-on-enable scheme as repro.core.closure: the disabled path
+# carries no telemetry code.  ``online.feed`` spans each feed_batch;
+# ``online.prefix`` counts prefix-closure computes (one per acquire that
+# opens contexts) and ``online.contexts`` the contexts started from a
+# clone.
+
+
+def _obs_install():
+    orig_prefix = SPDOnline._prefix_closure
+    orig_context = SPDOnline._context_closure
+    orig_feed = SPDOnline.feed_batch   # the mixin's: SPDOnline has none
+
+    def _prefix_closure(self, tid, c_pred):
+        obs.count("online.prefix")
+        return orig_prefix(self, tid, c_pred)
+
+    def _context_closure(self, prefix):
+        obs.count("online.contexts")
+        return orig_context(self, prefix)
+
+    def feed_batch(self, compiled, lo, hi, base=0):
+        with obs.span("online.feed", cat="online"):
+            orig_feed(self, compiled, lo, hi, base)
+
+    SPDOnline._prefix_closure = _prefix_closure
+    SPDOnline._context_closure = _context_closure
+    SPDOnline.feed_batch = feed_batch
+
+    def undo():
+        SPDOnline._prefix_closure = orig_prefix
+        SPDOnline._context_closure = orig_context
+        del SPDOnline.feed_batch
+
+    return undo
+
+
+obs.on_enable(_obs_install)

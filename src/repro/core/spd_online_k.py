@@ -23,7 +23,11 @@ This module is that extension:
 
 Signatures are interned-id tuples ``(tid, lid, frozenset(lids))``;
 reports translate back to names.  Closure membership checks use the
-same O(1) epoch comparisons as the parent.
+same O(1) epoch comparisons as the parent.  Size-2 contexts are the
+parent's, so they start from its per-thread prefix closures; a
+K-context (size ≥ 3) starts from a fresh
+:class:`~repro.core.closure.SPClosure`, since its seeds join the
+predecessors of acquires on several threads.
 
 Worst-case time adds the cycle-enumeration factor that Theorem 3.1
 says is unavoidable; with the signature count small (as in practice),
@@ -156,7 +160,7 @@ class SPDOnlineK(SPDOnline):
         ctx = _Context(
             signatures=cycle,
             cursors=[0] * k,
-            closure=self._new_closure(),
+            closure=SPClosure(self.histories),
         )
         self._contexts.append(ctx)
         for sig in cycle:
@@ -241,10 +245,8 @@ class SPDOnlineK(SPDOnline):
         """Serialize contexts as plain tuples (see SPDOnline.checkpoint).
 
         A pickled :class:`_Context` would drag its closure's cursor rows
-        (or, once promoted, the numpy mirrors) along; the canonical
-        form — signatures, cursors, the closure's canonical clock, the
-        reported flag — is backend-agnostic and rebuilds
-        bit-identically under either kernel backend.
+        along; the canonical form — signatures, cursors, the closure's
+        canonical clock, the reported flag — rebuilds bit-identically.
         """
         state.pop("_contexts_of_sig", None)
         state["_contexts"] = [
@@ -273,11 +275,6 @@ class SPDOnlineK(SPDOnline):
                 index.setdefault(sig, []).append(ctx)
         self._contexts = contexts
         self._contexts_of_sig = index
-
-    def _promote_extra(self) -> None:
-        """Rebuild each context's closure on the promoted kernel."""
-        for ctx in self._contexts:
-            ctx.closure = self._closure_from(ctx.closure.canonical_clock())
 
     def _named_signature(self, sig: Signature) -> NamedSignature:
         tid, lid, held = sig

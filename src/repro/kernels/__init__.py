@@ -10,19 +10,18 @@ API of the subsystem it accelerates:
   included, so :class:`repro.stream.StreamSession` benefits too).
 - :mod:`repro.kernels.alg_np` — abstract-lock-graph edge construction
   as a sorted join plus held-set bitmasks.
-- :mod:`repro.kernels.online_np` — the per-context Algorithm 1 closure
-  of SPDOnline (and of SPDOnlineK's contexts) over flat row arrays.
-  An exact detector starts on the python closure and promotes to this
-  kernel once its stream has 64 (thread, lock) histories
-  (``repro.core.spd_online.PROMOTE_HISTORIES``); narrower streams never
-  reach it, even under ``numpy``.
 
-FastTrack, Goodlock, the naive checker, SPDOnlineK's signature sweep
-and SPDOffline's phase 2 (Algorithm 2) have python loops only; under
-numpy they still run on the index, ALG and online kernels above.
-Phase 2's prefix closures (:mod:`repro.core.spd_offline`) decide most
-pattern instantiations without a fix-point, which left the batched
-numpy pattern check no margin to earn its code.
+Every Algorithm 1 closure is python under every backend: SPDOffline's
+phase 2, SPDOnline and SPDOnlineK all run
+:class:`repro.core.closure.SPClosure`.  FastTrack, Goodlock, the naive
+checker and SPDOnlineK's signature sweep have python loops only too;
+under numpy they all still run on the index and ALG kernels above.
+Prefix closures left the two closure kernels (a batched pattern check
+and an online closure) no margin to earn their code: phase 2's decide
+most pattern instantiations without a fix-point
+(:mod:`repro.core.spd_offline`), and SPDOnline's start each new
+context at the fix-point a fresh closure would first compute
+(:mod:`repro.core.spd_online`).
 
 Backend selection
 -----------------
@@ -36,8 +35,8 @@ Backend selection
 - ``auto``   — (default) numpy when installed, else python.  Resolving
   ``auto`` only looks numpy up (``importlib.util.find_spec``); numpy
   is imported at the first dispatch whose size floor says the numpy
-  path runs, so a process that never reaches one (FastTrack, a narrow
-  online stream) never loads it.  If that import fails, ``auto``
+  path runs, so a process that never reaches one (FastTrack, an online
+  stream) never loads it.  If that import fails, ``auto``
   means python for the rest of the process.
 
 Each kernel entry point checks its own size floor before it calls

@@ -144,6 +144,38 @@ class TestEngineIncrementalReuse:
             assert (e in members) == ts.of(e).leq(t_clock)
 
 
+class TestClone:
+    def test_advancing_the_clone_leaves_the_original_untouched(self):
+        """A clone owns its clock and cursor rows: computing a larger
+        seed on it moves its cursors, not the original's, and both then
+        reach the fix-point a fresh closure computes (Proposition 4.4)."""
+        from repro.core.closure import SPClosure
+
+        trace = generate_random_trace(RandomTraceConfig(
+            seed=5, num_threads=4, num_locks=3, num_events=200,
+            acquire_prob=0.35, max_nesting=2))
+        engine = SPClosureEngine(trace)
+        small = engine.timestamp_of_events([40])
+        large = engine.timestamp_of_events([40, 120, 190])
+        original = SPClosure(engine.histories)
+        original.compute(small)
+
+        def state(closure):
+            return (closure.clock.values(),
+                    {lid: list(row) for lid, row in closure._by_lock.items()},
+                    closure._log_pos, set(closure._pending))
+
+        before = state(original)
+        twin = original.clone()
+        assert state(twin) == before
+        got = twin.compute(large).copy()
+        assert state(twin) != before
+        assert state(original) == before
+        want = SPClosure(engine.histories).compute(large)
+        assert got == want
+        assert original.compute(large) == want
+
+
 class TestEngineInPlaceJoins:
     """``SPClosureEngine.compute``'s callers that join in place (Algorithm
     2's plain walk, kept as the oracle in ``tests/test_prefix_walk.py``,

@@ -9,18 +9,13 @@ are mocked), so numpy stays an optional extra rather than a hard
 dependency.  Fresh interpreters pin when numpy gets imported: at the
 first dispatch that takes a numpy path, not when ``auto`` resolves.
 
-SPDOnline starts every exact stream on the python closure and promotes
-to the numpy kernel at its ``PROMOTE_HISTORIES``-th (thread, lock)
-history.  The corpus and the seeded configs are narrower than the
-default, so the online differentials move the promotion point with
-:func:`promote_at`: at the first history, mid-stream, or never.
+SPDOnline has no numpy kernel: its closures are python under every
+backend, and ``tests/test_prefix_seed.py`` holds its differential.
 
 The long fuzz loop is opt-in: ``REPRO_FUZZ_ITERS=2000 pytest -m fuzz
 tests/test_kernels.py``.
 """
 
-import contextlib
-import importlib
 import os
 import random
 
@@ -39,9 +34,6 @@ CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 CORPUS_TRACES = sorted(f for f in os.listdir(CORPUS) if f.endswith(".std"))
 
 HAVE_NUMPY = kernels._import_numpy() is not None
-
-# The module, not the ``spd_online`` function repro.core re-exports.
-SPD_ONLINE = importlib.import_module("repro.core.spd_online")
 
 needs_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="differential needs the numpy backend")
@@ -107,72 +99,6 @@ def both_backends(fn, *args, **kw):
     return ref, got
 
 
-# -- online promotion points -------------------------------------------------
-
-#: Where a differential promotes SPDOnline to the numpy kernel.
-PROMOTIONS = ("first", "mid", "never")
-
-
-def history_count(trace):
-    """The (thread, lock) histories SPDOnline records on ``trace``."""
-    return len({(e.thread, e.target) for e in trace if e.is_acquire})
-
-
-def promotion_point(trace, where):
-    """The history count to promote at, or None for the default
-    constant (which these narrow traces never reach)."""
-    if where == "first":
-        return 1
-    if where == "mid":
-        return history_count(trace) // 2 + 1
-    return None
-
-
-def promotion_for_seed(seed):
-    """The promotion point a fuzz seed uses; ``seed // 7`` spreads the
-    three points across the thread counts ``fuzz_config`` derives from
-    ``seed % 7``."""
-    return PROMOTIONS[(seed // 7) % 3]
-
-
-def promotion_event(events):
-    """Index of the event that adds the stream's ``PROMOTE_HISTORIES``-th
-    (thread, lock) history, or None if the stream never gets there."""
-    seen = set()
-    for i, ev in enumerate(events):
-        if ev.is_acquire:
-            seen.add((ev.thread, ev.target))
-            if len(seen) == SPD_ONLINE.PROMOTE_HISTORIES:
-                return i
-    return None
-
-
-@contextlib.contextmanager
-def promote_at(point):
-    """Patch SPDOnline's promotion threshold (``None`` keeps it)."""
-    saved = SPD_ONLINE.PROMOTE_HISTORIES
-    if point is not None:
-        SPD_ONLINE.PROMOTE_HISTORIES = point
-    try:
-        yield
-    finally:
-        SPD_ONLINE.PROMOTE_HISTORIES = saved
-
-
-def promoted_both_backends(trace, where, fn, *args, **kw):
-    """:func:`both_backends` at one promotion point; also pin that the
-    numpy run promoted exactly when the trace reaches that point."""
-    point = promotion_point(trace, where)
-    key = "kernels.online_closure.numpy"
-    before = kernels.counters().get(key, 0)
-    with promote_at(point):
-        ref, got = both_backends(fn, *args, **kw)
-    promoted = kernels.counters().get(key, 0) > before
-    assert promoted == (point is not None
-                        and history_count(trace) >= point), where
-    return ref, got
-
-
 def fuzz_config(seed):
     """A deterministic, varied generator config for one fuzz iteration."""
     return RandomTraceConfig(
@@ -206,11 +132,6 @@ def check_seed(seed):
         ref, got = both_backends(fn, *args, **kw)
         assert ref == got, (
             f"seed {seed}: {fn.__name__} {kw} differs between backends")
-    where = promotion_for_seed(seed)
-    ref, got = promoted_both_backends(trace, where, online_sig, trace)
-    assert ref == got, (
-        f"seed {seed}: online_sig (promotion {where}) differs between "
-        "backends")
 
 
 # -- corpus-wide bit-identity ------------------------------------------------
@@ -224,13 +145,6 @@ class TestCorpusDifferential:
         for max_size in (None, 2, 3):
             ref, got = both_backends(offline_sig, trace, max_size=max_size)
             assert ref == got, f"{name} max_size={max_size}"
-
-    @pytest.mark.parametrize("name", CORPUS_TRACES)
-    def test_online(self, name):
-        trace = load_trace(os.path.join(CORPUS, name))
-        for where in PROMOTIONS:
-            ref, got = promoted_both_backends(trace, where, online_sig, trace)
-            assert ref == got, f"{name} promotion {where}"
 
     @pytest.mark.parametrize("name", CORPUS_TRACES)
     def test_fasttrack(self, name):
@@ -294,67 +208,6 @@ class TestIncrementalDifferential:
                 got = index_sig(comp)     # fresh reference object
         assert ref == got
 
-    def test_online_every_promotion_point(self):
-        """Promoting at any history count, from the first to the last,
-        leaves reports and stats bit-identical to the python run."""
-        cfg = RandomTraceConfig(num_threads=5, num_locks=4, num_events=600,
-                                max_nesting=3, acquire_prob=0.35,
-                                release_prob=0.3, seed=13)
-        trace = generate_random_trace(cfg)
-        with kernels.use("python"):
-            ref = online_sig(trace)
-        assert ref[0], "the stream has no deadlock to compare"
-        for point in range(1, history_count(trace) + 1):
-            with promote_at(point), kernels.use("numpy"):
-                assert online_sig(trace) == ref, f"promotion at {point}"
-
-    def test_online_checkpoint_cross_backend(self):
-        """Save under either backend, restore under either: all four
-        combinations equal the uninterrupted run, for a blob taken
-        before the numpy promotion (the resumed stream crosses it) and
-        for one taken after it."""
-        cfg = RandomTraceConfig(num_threads=8, num_locks=12, num_vars=16,
-                                num_events=3000, max_nesting=3,
-                                acquire_prob=0.35, release_prob=0.3, seed=7)
-        events = list(generate_random_trace(cfg))
-        promote_idx = promotion_event(events)
-        assert promote_idx is not None
-        cuts = {"before": promote_idx // 2, "after": len(events) // 2}
-        assert cuts["after"] > promote_idx
-
-        def sig(det):
-            return ([(r.first_event, r.second_event, r.context, r.locations)
-                     for r in det.reports], det.stats())
-
-        refs = {}
-        for b in ("python", "numpy"):
-            with kernels.use(b):
-                det = SPDOnline()
-                for ev in events:
-                    det.step(ev)
-                refs[b] = sig(det)
-        assert refs["python"] == refs["numpy"]
-
-        for label, cut in cuts.items():
-            for b_save in ("python", "numpy"):
-                with kernels.use(b_save):
-                    det = SPDOnline()
-                    for ev in events[:cut]:
-                        det.step(ev)
-                    assert (det._np is not None) == (
-                        b_save == "numpy" and label == "after")
-                    blob = det.checkpoint()
-                for b_load in ("python", "numpy"):
-                    with kernels.use(b_load):
-                        out = SPDOnline.restore(blob)
-                        assert (out._np is not None) == (
-                            b_load == "numpy" and label == "after")
-                        for ev in events[cut:]:
-                            out.step(ev)
-                        assert (out._np is not None) == (b_load == "numpy")
-                        assert sig(out) == refs["python"], \
-                            f"{label}: save={b_save} load={b_load}"
-
 
 # -- dispatch accounting ------------------------------------------------------
 
@@ -365,7 +218,6 @@ class TestDispatchAccounting:
     pin that the numpy paths actually run."""
 
     def test_detectors_dispatch_numpy(self):
-        # 16 x 8 reaches the online promotion point (64 histories).
         cfg = RandomTraceConfig(num_threads=16, num_locks=8, num_vars=10,
                                 num_events=2000, max_nesting=3,
                                 acquire_prob=0.35, release_prob=0.3, seed=11)
@@ -382,48 +234,6 @@ class TestDispatchAccounting:
             return after.get(key, 0) > before.get(key, 0)
 
         assert grew("kernels.index_extend.numpy")
-        assert grew("kernels.online_closure.numpy")
-
-    def test_narrow_stream_stays_python(self):
-        """A live_sessions-shaped stream (4 threads x 5 locks) never
-        reaches the promotion point: the python closure runs it even
-        under forced numpy, and nothing is micro-batched."""
-        cfg = RandomTraceConfig(num_threads=4, num_locks=5, num_vars=8,
-                                num_events=1500, max_nesting=3,
-                                acquire_prob=0.35, release_prob=0.3, seed=5)
-        trace = generate_random_trace(cfg)
-        before = kernels.counters()
-        with kernels.use("numpy"):
-            SPDOnline().run(trace)
-        after = kernels.counters()
-
-        def grew(key):
-            return after.get(key, 0) > before.get(key, 0)
-
-        assert grew("kernels.online_closure.python")
-        assert not grew("kernels.online_closure.numpy")
-        assert not grew("kernels.online_microbatch.numpy")
-
-    def test_wide_stream_promotes_once(self):
-        """A 16 x 8 stream promotes exactly once, at the event that adds
-        its PROMOTE_HISTORIES-th (thread, lock) history."""
-        cfg = RandomTraceConfig(num_threads=16, num_locks=8, num_vars=10,
-                                num_events=2000, max_nesting=3,
-                                acquire_prob=0.35, release_prob=0.3, seed=11)
-        events = list(generate_random_trace(cfg))
-        expected = promotion_event(events)
-        key = "kernels.online_closure.numpy"
-        promotions = []
-        with kernels.use("numpy"):
-            det = SPDOnline()
-            for i, ev in enumerate(events):
-                k0 = kernels.counters().get(key, 0)
-                det.step(ev)
-                if kernels.counters().get(key, 0) > k0:
-                    promotions.append(i)
-                assert (det._np is not None) == bool(promotions)
-        assert expected is not None
-        assert promotions == [expected]
 
 
 # -- offline run: numpy kernels without numpy.ma ---------------------------
@@ -565,7 +375,7 @@ class TestNumpyAbsent:
 
 def wide_trace():
     """16 threads x 8 locks, ~1.5k events: past every numpy size floor
-    (index batch, ALG nodes, online promotion)."""
+    (index batch, ALG nodes)."""
     return generate_random_trace(RandomTraceConfig(
         num_threads=16, num_locks=8, num_vars=10, num_events=1500,
         max_nesting=3, acquire_prob=0.35, release_prob=0.3, seed=11))
@@ -693,10 +503,16 @@ class TestLazyNumpyImport:
         # deadlocks and races in both sessions: the equality is not vacuous
         assert all(n > 0 for found in out["found"] for n in found)
 
-    def test_wide_stream_loads_numpy_at_its_promoting_event(self):
+    def test_wide_stream_leaves_numpy_unloaded(self):
+        """SPDOnline has no numpy kernel at any width: an exact
+        SPDOnline and an SPDOnlineK over a 16 x 8 stream of 2,000
+        events run without loading numpy, and their reports equal
+        forced python's."""
         out = fresh_json("""
             import json, sys
-            from repro.core.spd_online import PROMOTE_HISTORIES, SPDOnline
+            import repro.kernels as kernels
+            from repro.core.spd_online import SPDOnline
+            from repro.core.spd_online_k import SPDOnlineK
             from repro.synth.random_traces import (
                 RandomTraceConfig, generate_random_trace)
 
@@ -704,23 +520,28 @@ class TestLazyNumpyImport:
                 num_threads=16, num_locks=8, num_vars=10, num_events=2000,
                 max_nesting=3, acquire_prob=0.35, release_prob=0.3,
                 seed=11)))
-            seen, expected = set(), None
-            for i, ev in enumerate(events):
-                if ev.is_acquire:
-                    seen.add((ev.thread, ev.target))
-                    if len(seen) == PROMOTE_HISTORIES:
-                        expected = i
-                        break
-            det, loaded_at = SPDOnline(), None
-            for i, ev in enumerate(events):
-                det.step(ev)
-                if loaded_at is None and "numpy" in sys.modules:
-                    loaded_at = i
-            print(json.dumps({"expected": expected,
-                              "loaded_at": loaded_at}))
+
+            def run():
+                online, k = SPDOnline(), SPDOnlineK(max_size=3)
+                for ev in events:
+                    online.step(ev)
+                    k.step(ev)
+                return [[[r.first_event, r.second_event]
+                         for r in online.reports],
+                        [list(r.events) for r in k.k_reports]]
+
+            auto = run()
+            backend, loaded = kernels.backend(), "numpy" in sys.modules
+            with kernels.use("python"):
+                python = run()
+            print(json.dumps({"backend": backend, "numpy_loaded": loaded,
+                              "same": auto == python,
+                              "found": [len(x) for x in auto]}))
         """)
-        assert out["expected"] is not None
-        assert out["loaded_at"] == out["expected"]
+        assert out["backend"] == "numpy"
+        assert out["numpy_loaded"] is False
+        assert out["same"] is True
+        assert all(n > 0 for n in out["found"])
 
     def test_offline_loads_numpy_for_its_index(self):
         out = fresh_json("""

@@ -1,16 +1,14 @@
 """Round-2 kernel differential suite (`kernels/alg_np.py`, incremental
-SCC, online micro-batching) and the detectors that run on them.
+SCC) and the detectors that run on them.
 
 Same contract as :mod:`tests.test_kernels`: the pure-python paths are
 the canonical semantics and every numpy kernel must be *bit-identical*
 to them — same reports, same counts, same checkpoint round-trips, same
 pinned cycle order.  SPDOnlineK, Goodlock, UNDEAD and the naive checker
-have no kernels of their own, but under numpy they run on the index,
-ALG, offline and online kernels, so their outputs are compared across
-backends too.  Proven corpus-wide, over 200+ seeded random traces, and
-with numpy mocked away.  The SPDOnline/SPDOnlineK differentials move
-the online numpy promotion point as :mod:`tests.test_kernels` does
-(first history, mid-stream, never).
+have no kernels of their own, but under numpy they run on the index
+and ALG kernels, so their outputs are compared across backends too.
+Proven corpus-wide, over 200+ seeded random traces, and with numpy
+mocked away.
 
 The long fuzz loop is opt-in: ``REPRO_FUZZ_ITERS=2000 pytest -m fuzz
 tests/test_kernels_round2.py``.
@@ -25,7 +23,6 @@ import repro.kernels as kernels
 from repro.baselines.goodlock import goodlock
 from repro.baselines.naive import naive_sp_detector
 from repro.baselines.undead import undead
-from repro.core.spd_online import SPDOnline
 from repro.core.spd_online_k import SPDOnlineK
 from repro.graph.digraph import DiGraph
 from repro.graph.johnson import _cycles_from, simple_cycles
@@ -36,15 +33,9 @@ from repro.trace.parser import load_trace
 from repro.trace.trace import as_trace
 
 from tests.test_kernels import (
-    PROMOTIONS,
     both_backends,
-    history_count,
     needs_numpy,
     no_numpy,  # noqa: F401  (fixture)
-    promote_at,
-    promoted_both_backends,
-    promotion_for_seed,
-    promotion_point,
 )
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
@@ -109,18 +100,12 @@ def check_seed(seed):
          {"max_size": 3, "max_patterns": 60,
           "first_hit_per_abstract": seed % 2 == 0}),
     ]
-    for fn, args, kw in checks[1:]:
+    for fn, args, kw in checks:
         ref, got = both_backends(fn, *args, **kw)
         assert ref == got, (
             f"seed {seed}: {fn.__name__} {kw} differs between backends")
-    where = promotion_for_seed(seed)
-    fn, args, kw = checks[0]
-    ref, got = promoted_both_backends(trace, where, fn, *args, **kw)
-    assert ref == got, (
-        f"seed {seed}: k_sig (promotion {where}) differs between backends")
     if seed % 10 == 0:
-        with promote_at(promotion_point(trace, where)):
-            check_k_checkpoint(trace, max_size, seed)
+        check_k_checkpoint(trace, max_size, seed)
 
 
 def check_k_checkpoint(trace, max_size, seed):
@@ -159,11 +144,9 @@ class TestCorpusDifferential:
     @pytest.mark.parametrize("name", CORPUS_TRACES)
     def test_spd_online_k(self, name):
         trace = load_trace(os.path.join(CORPUS, name))
-        for where in PROMOTIONS:
-            for max_size in (3, 4):
-                ref, got = promoted_both_backends(trace, where, k_sig,
-                                                  trace, max_size)
-                assert ref == got, f"{name} max_size={max_size} {where}"
+        for max_size in (3, 4):
+            ref, got = both_backends(k_sig, trace, max_size)
+            assert ref == got, f"{name} max_size={max_size}"
 
     @pytest.mark.parametrize("name", CORPUS_TRACES)
     def test_baselines(self, name):
@@ -195,17 +178,6 @@ class TestRandomDifferential:
             pytest.skip("set REPRO_FUZZ_ITERS to run the long fuzz loop")
         for seed in range(200, 200 + iters):
             check_seed(seed)
-
-    def test_spd_online_k_every_promotion_point(self):
-        """SPDOnlineK promoting at any history count, from the first to
-        the last, stays bit-identical to the python run."""
-        trace = as_trace(generate_random_trace(k_config(7)))
-        with kernels.use("python"):
-            ref = k_sig(trace, 4)
-        assert ref[0], "the stream has no size-3+ deadlock to compare"
-        for point in range(1, history_count(trace) + 1):
-            with promote_at(point), kernels.use("numpy"):
-                assert k_sig(trace, 4) == ref, f"promotion at {point}"
 
 
 # -- incremental SCC vs the per-start recomputation --------------------------
@@ -291,65 +263,14 @@ class TestIncrementalSCC:
         assert list(simple_cycles(g)) == list(reference_simple_cycles(g))
 
 
-# -- online micro-batching ----------------------------------------------------
-
-
-@needs_numpy
-class TestMicroBatch:
-    def _sig(self, det):
-        return ([(r.first_event, r.second_event, r.context, r.locations)
-                 for r in det.reports], det.stats())
-
-    def test_step_equals_feed_batch_equals_python(self):
-        """Per-event stepping (flush per step) ≡ batched feeding
-        (flush at the 64-deep cap and batch end) ≡ canonical python,
-        with micro-batching switched on at each promotion point."""
-        for seed in (2, 9, 21):
-            cfg = RandomTraceConfig(num_threads=6, num_locks=6,
-                                    num_events=1500, max_nesting=3,
-                                    acquire_prob=0.35, release_prob=0.3,
-                                    seed=seed)
-            trace = as_trace(generate_random_trace(cfg))
-            comp = trace.compiled
-            for where in PROMOTIONS:
-                point = promotion_point(trace, where)
-                with promote_at(point):
-                    with kernels.use("python"):
-                        ref = SPDOnline()
-                        ref.run(comp)
-                    with kernels.use("numpy"):
-                        stepped = SPDOnline()
-                        for i in range(len(comp)):
-                            stepped.step(comp.event(i))
-                        batched = SPDOnline()
-                        batched.run(comp)
-                promoted = (point is not None
-                            and history_count(trace) >= point)
-                assert (batched._np is not None) == promoted, where
-                assert self._sig(stepped) == self._sig(ref), \
-                    f"seed {seed} promotion {where}"
-                assert self._sig(batched) == self._sig(ref), \
-                    f"seed {seed} promotion {where}"
-
-    def test_microbatch_dispatch_recorded(self):
-        # 16 x 8 reaches the online promotion point (64 histories).
-        cfg = RandomTraceConfig(num_threads=16, num_locks=8, num_events=1500,
-                                max_nesting=3, acquire_prob=0.35,
-                                release_prob=0.3, seed=2)
-        comp = as_trace(generate_random_trace(cfg)).compiled
-        before = kernels.counters().get("kernels.online_microbatch.numpy", 0)
-        with kernels.use("numpy"):
-            SPDOnline().run(comp)
-        after = kernels.counters().get("kernels.online_microbatch.numpy", 0)
-        assert after > before
-
-
 # -- dispatch accounting ------------------------------------------------------
 
 
 #: Dispatch areas whose numpy kernels were removed: no run records them.
 REMOVED_AREAS = ("kernels.fasttrack_runs.", "kernels.spdk.",
-                 "kernels.goodlock.", "kernels.naive.")
+                 "kernels.goodlock.", "kernels.naive.",
+                 "kernels.online_closure.", "kernels.online_microbatch.",
+                 "kernels.offline_check.")
 
 
 def assert_no_removed_areas(counters):
@@ -363,7 +284,6 @@ class TestDispatchAccounting:
     pin that the round-2 numpy paths actually run."""
 
     def test_round2_areas_dispatch(self):
-        # 16 x 8 reaches the online promotion point (64 histories).
         cfg = RandomTraceConfig(num_threads=16, num_locks=8, num_events=1500,
                                 max_nesting=3, acquire_prob=0.3,
                                 release_prob=0.3, seed=11)
@@ -382,7 +302,6 @@ class TestDispatchAccounting:
             return after.get(key, 0) > before.get(key, 0)
 
         assert grew("kernels.alg_edges.numpy")
-        assert grew("kernels.online_microbatch.numpy")
         assert grew("kernels.johnson_scc.incremental")
         assert_no_removed_areas(after)
 
@@ -401,7 +320,6 @@ class TestDispatchAccounting:
         assert grew("kernels.alg_edges.python")
         assert grew("kernels.johnson_scc.incremental")
         assert not grew("kernels.alg_edges.numpy")
-        assert not grew("kernels.online_microbatch.numpy")
         assert_no_removed_areas(after)
 
 

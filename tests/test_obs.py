@@ -228,6 +228,45 @@ class TestSpanTree:
         assert obs.drain_spans() == []
         assert obs.snapshot()["counters"] == {}
 
+    def test_online_feed_span_and_prefix_counters(self):
+        """SPDOnline opens one ``online.feed`` span per ``feed_batch``
+        and counts its prefix-closure computes (``online.prefix``, at
+        most one per acquire) and the contexts it starts from a clone
+        (``online.contexts``, every context) only while telemetry is
+        enabled; disable unwinds the wrappers."""
+        from repro.core.spd_online import SPDOnline
+        from repro.synth.random_traces import (
+            RandomTraceConfig,
+            generate_random_trace,
+        )
+        from repro.trace.compiled import compile_trace
+
+        comp = compile_trace(generate_random_trace(RandomTraceConfig(
+            num_threads=6, num_locks=6, num_events=600, max_nesting=3,
+            acquire_prob=0.35, seed=3)))
+        orig = (SPDOnline._prefix_closure, SPDOnline._context_closure)
+        assert "feed_batch" not in vars(SPDOnline)
+        obs.enable(None)
+        with obs.span("run"):
+            det = SPDOnline()
+            det.feed_batch(comp, 0, 300)
+            det.feed_batch(comp, 300, len(comp))
+        paths = [s["path"] for s in obs.drain_spans() if s["k"] == "span"]
+        assert paths.count("run/online.feed") == 2, paths
+        c = obs.snapshot()["counters"]
+        assert c["online.contexts"] == det.stats()["contexts"] > 0
+        assert len(det._prefixes) <= c["online.prefix"] \
+            < c["online.contexts"]
+        obs.disable()
+        assert (SPDOnline._prefix_closure,
+                SPDOnline._context_closure) == orig
+        assert "feed_batch" not in vars(SPDOnline)
+        SPDOnline().run(comp)
+        obs.enable(None)
+        assert obs.drain_spans() == []
+        assert not any(k.startswith("online.")
+                       for k in obs.snapshot()["counters"])
+
 
 # -- per-cell rollups through the runners -------------------------------
 
@@ -531,37 +570,36 @@ class TestKernelTelemetryComposition:
     numpy = pytest.importorskip("numpy", reason="kernel path needs numpy")
 
     def test_enable_disable_cycle_keeps_kernel_dispatch(self):
-        """Lifecycle: enabled -> disabled -> re-enabled, the online
-        engine keeps dispatching its numpy closure kernel and its
-        reports stay identical to the python oracle."""
+        """Lifecycle: enabled -> disabled -> re-enabled, spd_offline
+        keeps dispatching its numpy index kernel and its reports stay
+        identical to the python oracle."""
         import repro.kernels as kernels
-        from repro.core.spd_online import SPDOnline
+        from repro.core.spd_offline import spd_offline
         from repro.synth.random_traces import (
             RandomTraceConfig,
             generate_random_trace,
         )
+        from repro.trace.compiled import compile_trace
 
-        # 16 threads x 8 locks: wide enough that SPDOnline promotes to
-        # the numpy closure kernel (64 histories).
-        trace = generate_random_trace(RandomTraceConfig(
+        # 1,500 events: above the index kernel's 256-event batch floor.
+        # A CompiledTrace input builds its index afresh on every run.
+        trace = compile_trace(generate_random_trace(RandomTraceConfig(
             num_threads=16, num_locks=8, num_events=1500, max_nesting=3,
-            acquire_prob=0.35, release_prob=0.3, seed=2))
+            acquire_prob=0.35, release_prob=0.3, seed=2)))
 
         def reports(backend):
             with kernels.use(backend):
-                det = SPDOnline()
-                det.run(trace)
-            return [(r.first_event, r.second_event, r.context, r.locations)
-                    for r in det.reports]
+                res = spd_offline(trace, max_size=2)
+            return [(r.pattern.events, r.locations) for r in res.reports]
 
         baseline = reports("python")
         for _cycle in range(2):
             obs.enable(None)
-            k0 = kernels.counters().get("kernels.online_closure.numpy", 0)
+            k0 = kernels.counters().get("kernels.index_extend.numpy", 0)
             assert reports("numpy") == baseline
-            assert kernels.counters()["kernels.online_closure.numpy"] > k0
+            assert kernels.counters()["kernels.index_extend.numpy"] > k0
             obs.disable()
         # wrappers unwound: one more run, still numpy, still identical
-        k0 = kernels.counters().get("kernels.online_closure.numpy", 0)
+        k0 = kernels.counters().get("kernels.index_extend.numpy", 0)
         assert reports("numpy") == baseline
-        assert kernels.counters()["kernels.online_closure.numpy"] > k0
+        assert kernels.counters()["kernels.index_extend.numpy"] > k0

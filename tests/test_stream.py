@@ -478,7 +478,8 @@ class TestCheckpointRestore:
             det = SPDOnline(max_memory_events=horizon)
             det.feed_batch(compiled, 0, n // 2)
             resumed = SPDOnline.restore(det.checkpoint())
-            for closure in resumed._closures.values():
+            for closure in (*resumed._closures.values(),
+                            *resumed._prefixes.values()):
                 assert closure._hist is resumed.histories
             resumed.feed_batch(compiled, n // 2, n)
             assert online_key(resumed.reports) == \
@@ -488,18 +489,18 @@ class TestCheckpointRestore:
 
     def test_blob_pickles_canonical_state_only(self):
         """The value columns and the per-lock history index derive from
-        the history's records: blobs leave them out (as they leave out
-        the numpy mirror), so every blob pickles the same state keys,
-        and restore rebuilds them equal to the live detector's."""
+        the history's records: blobs leave them out, so every blob
+        pickles the same state keys, and restore rebuilds them equal to
+        the live detector's."""
         import pickle
 
         keys = {
             "_acq_seq", "_clocks", "_closures", "_ctx_cursor",
             "_deadlock_checks", "_events_seen", "_evict_period",
             "_evictions", "_held", "_last_write", "_lid", "_lock_names",
-            "_next_evict", "_open_cs", "_pair_threads", "_thread_names",
-            "_tid", "_vid", "histories", "max_memory_events", "reports",
-            "universe",
+            "_next_evict", "_open_cs", "_pair_threads", "_prefixes",
+            "_thread_names", "_tid", "_vid", "histories",
+            "max_memory_events", "reports", "universe",
         }
         history_keys = {"records", "log", "log_base", "evicted"}
         k_keys = keys | {"_contexts", "_pred", "_sig_entries", "_sig_index",
