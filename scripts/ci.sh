@@ -55,6 +55,27 @@ for example in examples/*.py; do
     done
 done
 
+echo "== campaign cache across processes (examples/paper_tables.toml run twice"
+echo "   into one --out with -j 2, in fresh interpreters under different"
+echo "   PYTHONHASHSEED values; the re-run must be served entirely from the"
+echo "   cache, as README promises) =="
+campaign_out=$(mktemp -d)
+for hashseed in 1 2; do
+    PYTHONHASHSEED=$hashseed python -m repro bench run \
+        --campaign examples/paper_tables.toml -j 2 --out "$campaign_out" \
+        --quiet > /dev/null
+done
+python - "$campaign_out/run.json" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1]) as fh:
+    run = json.load(fh)
+print(f"re-run: {run['cache_hits']} of {run['num_cells']} cells from the cache")
+sys.exit(run["num_cells"] == 0 or run["cache_hits"] != run["num_cells"])
+PY
+rm -rf "$campaign_out"
+
 echo "== perfbench harness tests (the repo benchmark every perf claim uses) =="
 python -m pytest -q perfbench/tests
 

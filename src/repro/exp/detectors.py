@@ -14,6 +14,12 @@ prints them as ``F``/``TO`` — so adapters report them as data
 (``failed: True`` / ``timed_out: True``) rather than raising; the
 runner reserves ``status="error"`` for genuine crashes.
 
+The detector modules are imported at the top of this module, so
+importing the registry loads every detector: a pool parent that
+imports it forks workers whose cells import nothing.  That includes
+:mod:`repro.stream.windowed`, which ``spd_offline_windowed`` imports
+only when called (the two modules import each other).
+
 ``_sleep`` and ``_crash`` are debug detectors used by the test suite
 to exercise the runner's timeout and crash isolation; they are
 excluded from :func:`detector_names`.
@@ -26,6 +32,19 @@ import time
 from typing import Callable, Dict, List
 
 import repro.obs as obs
+import repro.stream.windowed  # noqa: F401  (see the module docstring)
+from repro.baselines.dirk import dirk
+from repro.baselines.goodlock import goodlock
+from repro.baselines.naive import naive_sp_detector
+from repro.baselines.seqcheck import SeqCheckFailure, seqcheck
+from repro.baselines.undead import undead
+from repro.core.races import sp_races
+from repro.core.spd_offline import spd_offline
+from repro.core.spd_online import spd_online
+from repro.core.spd_online_k import spd_online_k
+from repro.core.windowed import spd_offline_windowed
+from repro.hb.fasttrack import fasttrack_races
+from repro.trace.stats import compute_stats
 
 Adapter = Callable[[object, dict], dict]
 
@@ -48,9 +67,8 @@ def register(name: str) -> Callable[[Adapter], Adapter]:
 def _instrumented(name: str, fn: Adapter) -> Adapter:
     """The one telemetry wrapper every detector entry point runs under:
     a ``detector`` span around the adapter call.  ``functools.wraps``
-    keeps ``inspect.getsource`` (and with it the per-detector cache
-    versioning of :mod:`repro.exp.cache`) resolving to the adapter
-    itself."""
+    keeps the adapter's name and docstring, and its ``__wrapped__``
+    lets :func:`get_adapter` tell whether the registration changed."""
     @functools.wraps(fn)
     def adapter(trace, config: dict) -> dict:
         with obs.span("detector", cat="detector", detector=name):
@@ -87,8 +105,6 @@ def _bug_list(bug_ids) -> List[List[str]]:
 
 @register("stats")
 def _stats(trace, config: dict) -> dict:
-    from repro.trace.stats import compute_stats
-
     s = compute_stats(trace)
     out = s.as_dict()
     out["primary"] = s.num_events
@@ -100,8 +116,6 @@ def _stats(trace, config: dict) -> dict:
 
 @register("spd_offline")
 def _spd_offline(trace, config: dict) -> dict:
-    from repro.core.spd_offline import spd_offline
-
     res = spd_offline(
         trace,
         max_size=config.get("max_size"),
@@ -119,8 +133,6 @@ def _spd_offline(trace, config: dict) -> dict:
 
 @register("spd_online")
 def _spd_online(trace, config: dict) -> dict:
-    from repro.core.spd_online import spd_online
-
     res = spd_online(trace)
     bugs = res.unique_bugs()
     return {
@@ -133,8 +145,6 @@ def _spd_online(trace, config: dict) -> dict:
 
 @register("spd_online_k")
 def _spd_online_k(trace, config: dict) -> dict:
-    from repro.core.spd_online_k import spd_online_k
-
     det = spd_online_k(trace, max_size=config.get("max_size", 3))
     bugs = {r.bug_id for r in det.k_reports}
     return {
@@ -147,8 +157,6 @@ def _spd_online_k(trace, config: dict) -> dict:
 
 @register("windowed")
 def _windowed(trace, config: dict) -> dict:
-    from repro.core.windowed import spd_offline_windowed
-
     res = spd_offline_windowed(
         trace,
         window=config.get("window", 50_000),
@@ -168,8 +176,6 @@ def _windowed(trace, config: dict) -> dict:
 
 @register("goodlock")
 def _goodlock(trace, config: dict) -> dict:
-    from repro.baselines.goodlock import goodlock
-
     res = goodlock(trace)
     return {
         "primary": res.num_warnings,
@@ -180,8 +186,6 @@ def _goodlock(trace, config: dict) -> dict:
 
 @register("undead")
 def _undead(trace, config: dict) -> dict:
-    from repro.baselines.undead import undead
-
     res = undead(trace)
     return {
         "primary": res.num_warnings,
@@ -192,8 +196,6 @@ def _undead(trace, config: dict) -> dict:
 
 @register("naive")
 def _naive(trace, config: dict) -> dict:
-    from repro.baselines.naive import naive_sp_detector
-
     res = naive_sp_detector(trace)
     return {
         "primary": len(res.reports),
@@ -205,8 +207,6 @@ def _naive(trace, config: dict) -> dict:
 
 @register("seqcheck")
 def _seqcheck(trace, config: dict) -> dict:
-    from repro.baselines.seqcheck import SeqCheckFailure, seqcheck
-
     try:
         res = seqcheck(
             trace,
@@ -226,8 +226,6 @@ def _seqcheck(trace, config: dict) -> dict:
 
 @register("dirk")
 def _dirk(trace, config: dict) -> dict:
-    from repro.baselines.dirk import dirk
-
     res = dirk(
         trace,
         window=config.get("window", 10_000),
@@ -248,8 +246,6 @@ def _dirk(trace, config: dict) -> dict:
 
 @register("fasttrack")
 def _fasttrack(trace, config: dict) -> dict:
-    from repro.hb.fasttrack import fasttrack_races
-
     res = fasttrack_races(trace)
     return {
         "primary": res.num_races,
@@ -260,8 +256,6 @@ def _fasttrack(trace, config: dict) -> dict:
 
 @register("sp_races")
 def _sp_races(trace, config: dict) -> dict:
-    from repro.core.races import sp_races
-
     res = sp_races(
         trace,
         first_hit_per_pair=config.get("first_hit_per_pair", True),

@@ -14,11 +14,13 @@ differ only in *where* the cell runs:
   takes down the campaign, and a wall-clock ``timeout`` is enforced
   by killing the worker (``status="timeout"``).  Before each cell a
   worker resets its :mod:`repro.faults` fire counts and re-arms
-  :mod:`repro.obs`, so both stay per cell attempt.  Under ``fork``
-  the parent preloads the modules its cells' detectors import (and
-  numpy, when the kernel backend resolves to it), so no cell pays for
-  them, and the scheduler sleeps until a worker replies or exits, a
-  deadline or retry backoff expires, or a signal lands — no polling.
+  :mod:`repro.obs`, so both stay per cell attempt.  Importing this
+  module imports the detector registry, and with it every detector's
+  modules; under ``fork`` the parent also imports numpy and its kernel
+  modules when the kernel backend resolves to numpy, so no cell pays
+  for an import.  The scheduler sleeps until a worker replies or
+  exits, a deadline or retry backoff expires, or a signal lands — no
+  polling.
 
 Either way a cell's clock starts after its detector's modules are
 imported: one-time imports never count as detector time.
@@ -51,7 +53,6 @@ runners identically:
 
 from __future__ import annotations
 
-import importlib
 import json
 import multiprocessing
 import os
@@ -69,12 +70,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import repro.faults as faults
 import repro.kernels as kernels
 import repro.obs as obs
-from repro.exp.cache import (
-    ResultCache,
-    cell_key,
-    detector_code_version,
-    detector_modules,
-)
+from repro.exp.cache import ResultCache, cell_key
 from repro.exp.campaign import Campaign, DetectorSpec, TraceSource
 from repro.exp.detectors import get_adapter
 from repro.exp.resilience import (
@@ -116,13 +112,8 @@ class CellTask:
     attempt: int = 1                     # 1-based; not part of the key
 
     def key(self) -> str:
-        # Version the key by the detector's module dependency closure,
-        # not the whole package: commits that don't touch this
-        # detector's code (or the shared trace pipeline) keep its
-        # cached cells warm.
         return cell_key(self.trace_digest, self.detector.name,
-                        self.detector.config, self.timeout, self.repeats,
-                        version=detector_code_version(self.detector.name))
+                        self.detector.config, self.timeout, self.repeats)
 
     @property
     def policy(self) -> RetryPolicy:
@@ -291,27 +282,23 @@ class _DrainInterrupt(BaseException):
         self.signum = signum
 
 
-def _preload(detector_names) -> None:
-    """Import every module the named detectors' adapters import
-    (:func:`~repro.exp.cache.detector_modules`) that this process has
-    not loaded yet, and numpy when it is the resolved kernel backend,
-    so no cell's clock pays for an import.
+def _preload() -> None:
+    """Import numpy and its two kernel modules when numpy is the
+    resolved kernel backend, so no cell's clock pays for an import.
 
-    Only imports: no detector runs.  A module that fails to import is
-    skipped, and the cell that needs it reports the failure as its own
-    error.  Costs a few dictionary lookups once everything is loaded.
+    Every detector's modules are loaded already: importing the registry
+    (:mod:`repro.exp.detectors`) imports them.  Once numpy and the
+    kernels are loaded a call costs a few dictionary lookups.  A failed
+    numpy import under ``auto`` leaves the python backend in place; an
+    unusable explicit request is reported by the cell that dispatches.
     """
-    for name in detector_names:
-        for mod in detector_modules(name):
-            if mod not in sys.modules:
-                try:
-                    importlib.import_module(mod)
-                except Exception:
-                    pass
     try:
-        kernels.numpy_or_none()
+        np = kernels.numpy_or_none()
     except kernels.KernelsError:
-        pass
+        return
+    if np is not None:
+        import repro.kernels.alg_np  # noqa: F401
+        import repro.kernels.index_np  # noqa: F401
 
 
 def run_cell(task: CellTask) -> CellResult:
@@ -345,7 +332,7 @@ def _run_cell_inner(task: CellTask, base: dict) -> CellResult:
         faults.fire("cell", index=task.index, attempt=task.attempt,
                     detector=task.detector.id, trace=task.trace.name)
         adapter = get_adapter(task.detector.name)
-        _preload((task.detector.name,))
+        _preload()
         with obs.span("trace.source", cat="exp", trace=task.trace.name):
             trace = task.trace.load()
         num_events = len(trace)
@@ -768,11 +755,12 @@ class ProcessPoolRunner(_BaseRunner):
     (``status="timeout"``); either way a fresh worker takes the
     remaining cells.
 
-    Under the ``fork`` start method the parent first imports every
-    module the campaign's detectors import, and numpy when the kernel
-    backend resolves to it (once per process, under a ``pool.preload``
-    span), so forked workers inherit them instead of importing them on
-    a cell's clock.  The scheduler then sleeps in
+    Every detector's modules are loaded with the registry this module
+    imports; under the ``fork`` start method the parent also imports
+    numpy and its kernel modules when the kernel backend resolves to
+    numpy (once per process, under a ``pool.preload`` span), so forked
+    workers inherit them instead of importing them on a cell's clock.
+    The scheduler then sleeps in
     :func:`multiprocessing.connection.wait` until a worker replies or
     exits, the nearest cell deadline or retry backoff expires, or
     SIGINT/SIGTERM arrives (the signal's wake-up byte lands on a
@@ -819,7 +807,7 @@ class ProcessPoolRunner(_BaseRunner):
         workers: List[_Worker] = []
         if self._ctx.get_start_method() == "fork":
             with obs.span("pool.preload", cat="pool"):
-                _preload(sorted({t.detector.name for t in pending}))
+                _preload()
         wake_r, wake_w = os.pipe()
         os.set_blocking(wake_w, False)
         old_handlers = {}

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from array import array
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import repro.obs as obs
 from repro.trace.events import (
@@ -39,9 +39,6 @@ from repro.trace.events import (
     Event,
     Op,
 )
-
-if TYPE_CHECKING:  # import cycle: trace.py wraps CompiledTrace
-    from repro.trace.trace import Trace
 
 #: Op codes whose target is a lock.
 _LOCK_OPS = (OP_ACQUIRE, OP_RELEASE, OP_REQUEST)
@@ -219,12 +216,6 @@ class CompiledTrace:
         else:
             out.locs = {}
         return out
-
-    def to_trace(self) -> "Trace":
-        """Wrap in a :class:`Trace` view (O(1); nothing materializes)."""
-        from repro.trace.trace import Trace
-
-        return Trace(self, name=self.name)
 
     def __repr__(self) -> str:
         return (

@@ -342,17 +342,3 @@ class TraceIndex:
 
     def __len__(self) -> int:
         return len(self.rf)
-
-
-def index_of(trace) -> TraceIndex:
-    """The :class:`TraceIndex` of any trace form.
-
-    ``Trace`` views carry a cached index; a raw :class:`CompiledTrace`
-    gets a fresh one.
-    """
-    idx = getattr(trace, "index", None)
-    if isinstance(idx, TraceIndex):
-        return idx
-    if isinstance(trace, CompiledTrace):
-        return TraceIndex(trace)
-    raise TypeError(f"cannot index {type(trace).__name__}")

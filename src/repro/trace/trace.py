@@ -204,8 +204,7 @@ def as_trace(trace, name: Optional[str] = None) -> Trace:
     """Adapt any trace form to a :class:`Trace` view, cheaply.
 
     A ``Trace`` passes through; a :class:`CompiledTrace` is wrapped in
-    O(1) (no event materialization, unlike the old
-    ``CompiledTrace.to_trace`` round-trip); any other event iterable is
+    O(1) (no event materialization); any other event iterable is
     compiled.  Every detector entry point funnels through here.
     """
     if isinstance(trace, Trace):

@@ -109,17 +109,8 @@ def filter_threads(trace: Trace, keep: Set[str]) -> Trace:
     return _rebuild(out, f"{trace.name}|threads")
 
 
-def filter_variables(
-    trace: Trace, drop: Set[str], keep_rf_writers: bool = True
-) -> Trace:
-    """Drop access events of the given variables.
-
-    With ``keep_rf_writers`` the transform refuses to break reads-from
-    edges: it only drops a variable wholesale (reads and writes
-    together), which preserves analysis soundness for the remaining
-    events.
-    """
-    del keep_rf_writers  # both modes drop wholesale; flag kept for API clarity
+def filter_variables(trace: Trace, drop: Set[str]) -> Trace:
+    """Drop access events of the given variables."""
     out = [ev for ev in trace if not (ev.is_access and ev.target in drop)]
     return _rebuild(out, f"{trace.name}|vars")
 

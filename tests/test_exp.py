@@ -4,6 +4,10 @@ door."""
 
 import json
 import os
+import shutil
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -20,6 +24,7 @@ from repro.exp.report import diff_runs, render_markdown, run_to_json
 from repro.exp.runner import InlineRunner, ProcessPoolRunner
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+REPRO_PKG = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
 
 
 def corpus_source(name: str) -> TraceSource:
@@ -82,136 +87,64 @@ class TestCacheKeying:
         int(v, 16)
 
 
-class TestDetectorScopedVersions:
-    """Cache keys hash each detector's module dependency closure, so a
-    commit touching one detector leaves the others' cells warm."""
+class TestPackageCodeVersion:
+    """Every cell is keyed by the digest of the whole ``repro`` package:
+    any module can change a cell's output, so any source edit changes
+    every cell key."""
 
-    def test_versions_differ_between_detectors(self):
+    def test_every_detector_keys_by_package_digest(self):
         from repro.exp.cache import detector_code_version
         from repro.exp.detectors import detector_names
 
-        versions = {d: detector_code_version(d) for d in detector_names()}
-        # Detectors with disjoint implementations must not share keys
-        # (they may legitimately collide only if identical, which none
-        # of these are).
-        assert versions["fasttrack"] != versions["spd_offline"]
-        assert versions["goodlock"] != versions["undead"]
-        for v in versions.values():
-            int(v, 16)
+        for name in detector_names() + ["no-such-detector"]:
+            assert detector_code_version(name) == code_version(), name
 
-    def test_closure_tracks_detector_modules_only(self):
-        from repro.exp.cache import dependency_closure
-
-        spd = set(dependency_closure({"repro.core.spd_offline"}))
-        ft = set(dependency_closure({"repro.hb.fasttrack"}))
-        # SPDOffline needs its phase-1/phase-2 machinery...
-        assert {"repro.core.alg", "repro.core.closure",
-                "repro.locks.history", "repro.vc.timestamps"} <= spd
-        # ...but not the race detector, and vice versa.
-        assert "repro.hb.fasttrack" not in spd
-        assert "repro.core.spd_offline" not in ft
-
-    def test_cell_key_uses_detector_scope(self):
-        from repro.exp.cache import detector_code_version
+    def test_cell_key_uses_package_digest(self):
         from repro.exp.runner import CellTask
 
         task = CellTask(index=0, trace=corpus_source("sigma2"),
                         trace_digest="d" * 64,
                         detector=DetectorSpec(name="fasttrack"),
                         timeout=None, repeats=1)
-        expected = cell_key("d" * 64, "fasttrack", {}, None, 1,
-                            version=detector_code_version("fasttrack"))
-        assert task.key() == expected
-        # Whole-package fallback would produce a different key.
-        assert task.key() != cell_key("d" * 64, "fasttrack", {}, None, 1)
+        assert task.key() == cell_key("d" * 64, "fasttrack", {}, None, 1,
+                                      version=code_version())
 
-    def test_unknown_detector_falls_back_to_package_digest(self):
-        from repro.exp.cache import detector_code_version
+    def test_source_edit_changes_every_cell_key(self, tmp_path):
+        """Appending a comment to a module that no detector imports
+        (``repro/analysis/explain.py``) changes every detector's cell
+        key, each computed in a fresh interpreter over a copy of the
+        package."""
+        shutil.copytree(REPRO_PKG, tmp_path / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        script = textwrap.dedent("""
+            import json
+            from repro.exp.campaign import DetectorSpec, TraceSource
+            from repro.exp.detectors import detector_names
+            from repro.exp.runner import CellTask
 
-        assert detector_code_version("no-such-detector") == code_version()
+            trace = TraceSource(kind="file", name="t", path="t.std")
+            print(json.dumps({
+                n: CellTask(index=0, trace=trace, trace_digest="d" * 64,
+                            detector=DetectorSpec(name=n), timeout=None,
+                            repeats=1).key()
+                for n in detector_names()}))
+        """)
 
-    def test_shim_reexports_join_the_closure_one_level_deep(self):
-        """Regression: a detector importing ``pkg.mod`` must also be
-        versioned by what ``pkg``'s ``__init__`` shim statically
-        re-exports (``from pkg.impl import thing``) — one level only,
-        so the whole package doesn't ride into every closure.  Before
-        the fix, moving an implementation behind an unchanged shim
-        left stale cache entries live."""
-        from repro.exp.cache import closure_with_shims
+        def keys():
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(tmp_path)))
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)
 
-        modules = {m: b"" for m in
-                   ("pkg", "pkg.mod", "pkg.impl", "pkg.impl.deep",
-                    "pkg.other")}
-        graph = {
-            "pkg.mod": set(),
-            "pkg": {"pkg.impl"},             # the __init__ shim re-export
-            "pkg.impl": {"pkg.impl.deep"},
-            "pkg.other": set(),
-        }
-        closure = closure_with_shims({"pkg.mod"}, modules, graph)
-        assert "pkg" in closure              # ancestor __init__ runs
-        assert "pkg.impl" in closure         # its re-export, one level
-        assert "pkg.impl.deep" not in closure   # ...but not transitively
-        assert "pkg.other" not in closure
-
-    def test_shim_follow_reaches_real_reexported_impls(self):
-        """The live import graph agrees: ``repro.vc``'s ``__init__``
-        re-exports the timestamp implementation, so every detector
-        whose closure contains the package also digests the module."""
-        from repro.exp.cache import (_module_digests, _module_import_graph,
-                                     closure_with_shims)
-
-        graph = _module_import_graph()
-        modules = _module_digests()
-        closure = closure_with_shims({"repro.core.spd_offline"},
-                                     modules, graph)
-        assert "repro.vc" in closure
-        assert "repro.vc.timestamps" in closure
-
-    def test_scaffold_digest_covers_helpers_not_sibling_adapters(self, tmp_path, monkeypatch):
-        """Editing a shared module-level helper (e.g. ``_bug_list``)
-        must change the scaffold digest; editing another adapter's body
-        must not — that is exactly the granularity the cache promises."""
-        import sys
-
-        from repro.exp.cache import _registry_scaffold_digest
-
-        template = '''\
-def register(name):
-    def deco(fn):
-        return fn
-    return deco
-
-
-def _helper(x):
-    return {helper_body!r}
-
-
-@register("a")
-def _a(trace, config):
-    return {a_body!r}
-
-
-@register("b")
-def _b(trace, config):
-    return {b_body!r}
-'''
-        monkeypatch.syspath_prepend(str(tmp_path))
-
-        def digest(helper_body, a_body, b_body, modname):
-            (tmp_path / f"{modname}.py").write_text(
-                template.format(helper_body=helper_body, a_body=a_body,
-                                b_body=b_body))
-            try:
-                return _registry_scaffold_digest(modname)
-            finally:
-                sys.modules.pop(modname, None)
-
-        base = digest("h1", "a1", "b1", "scaffold_mod1")
-        # Editing adapter bodies leaves the scaffold unchanged...
-        assert digest("h1", "a2", "b2", "scaffold_mod2") == base
-        # ...editing the shared helper does not.
-        assert digest("h2", "a1", "b1", "scaffold_mod3") != base
+        before = keys()
+        assert "spd_offline" in before
+        with open(tmp_path / "repro" / "analysis" / "explain.py", "a") as fh:
+            fh.write("# an edit no detector imports\n")
+        after = keys()
+        assert after.keys() == before.keys()
+        assert [n for n in before if after[n] == before[n]] == []
 
 
 class TestResultCache:

@@ -30,108 +30,154 @@ def corpus(*names):
 """
 
 
-def run_script(body: str, timeout: float = 120.0) -> dict:
+def run_script(body: str, timeout: float = 120.0, prelude: str = "") -> dict:
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("REPRO_FAULTS", None)
     env.pop("REPRO_OBS", None)
     proc = subprocess.run(
-        [sys.executable, "-c", PRELUDE + textwrap.dedent(body)],
+        [sys.executable, "-c", PRELUDE + prelude + textwrap.dedent(body)],
         capture_output=True, text=True, env=env, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+#: every registry detector over two corpus traces, and the three whose
+#: inputs can be large over ``DENSE`` too, plus two probes a cell
+#: watcher calls before and after a cell
+WARM_CAMPAIGN = """
+import repro.kernels as kernels
+from repro.exp.detectors import detector_names
+
+dense = ("spd_offline", "spd_online", "fasttrack")
+campaign = Campaign(
+    name="warm",
+    traces=corpus("sigma2", "picklock")
+    + [TraceSource(kind="file", name="dense", path=DENSE)],
+    detectors=[DetectorSpec(name=n,
+                            config={"max_size": 2} if n == "spd_offline" else {},
+                            only=[] if n in dense else ["sigma2", "picklock"])
+               for n in detector_names()],
+    include_stats=False)
+
+def numpy_calls():
+    return sum(v for k, v in kernels.counters().items()
+               if k.endswith(".numpy"))
+
+def new_modules(before):
+    return sorted(m for m in set(sys.modules) - before
+                  if m.split(".")[0] in ("repro", "numpy"))
+"""
+
+
+def warm_prelude(tmp_path) -> str:
+    """``WARM_CAMPAIGN`` over a 1.5k-event, 4-thread × 6-lock trace
+    file, big enough that the index and ALG dispatch to numpy under the
+    numpy backend."""
+    from repro.synth.random_traces import RandomTraceConfig, generate_random_trace
+    from repro.trace import format_trace
+
+    trace = generate_random_trace(RandomTraceConfig(
+        num_threads=4, num_locks=6, num_vars=4, num_events=1500,
+        acquire_prob=0.35, seed=3))
+    path = tmp_path / "dense.std"
+    path.write_text(format_trace(trace))
+    return f"DENSE = {str(path)!r}\n" + WARM_CAMPAIGN
+
+
 class TestWarmParent:
     def test_pool_preloads_each_detector_closure(self, tmp_path):
-        """After a pool run the parent holds every module of each
-        detector's closure, and numpy when the kernel backend resolves
-        to it, and no forked cell imports a ``repro`` or ``numpy``
-        module its parent lacked."""
+        """No forked cell imports a ``repro`` or ``numpy`` module its
+        worker lacked, numpy-dispatching cells included, and the pool
+        parent holds numpy exactly when the kernel backend resolves to
+        it."""
+        side = tmp_path / "cells"
+        side.mkdir()
         out = run_script(f"""
             import repro.exp.runner as runner
-            import repro.kernels as kernels
-            from repro.exp.cache import detector_modules
 
-            side = {str(tmp_path)!r}
+            side = {str(side)!r}
             plain = runner.run_cell
 
             def watched(task):
-                before = set(sys.modules)
+                before, calls = set(sys.modules), numpy_calls()
                 res = plain(task)
-                new = sorted(m for m in set(sys.modules) - before
-                             if m.split(".")[0] in ("repro", "numpy"))
-                path = os.path.join(side, f"{{task.index}}.json")
-                with open(path, "w") as fh:
-                    json.dump(new, fh)
+                with open(os.path.join(side, f"{{task.index}}.json"), "w") as fh:
+                    json.dump({{"imports": new_modules(before),
+                               "numpy_calls": numpy_calls() - calls}}, fh)
                 return res
 
             runner.run_cell = watched
-            names = ("spd_offline", "spd_online", "fasttrack")
-            c = Campaign(name="warm",
-                         traces=corpus("sigma2", "picklock", "stringbuffer"),
-                         detectors=[DetectorSpec(name=n) for n in names],
-                         include_stats=False)
-            run = runner.ProcessPoolRunner(jobs=2).run(c)
-            parent_numpy = "numpy" in sys.modules
-            imported = {{}}
+            run = runner.ProcessPoolRunner(jobs=2).run(campaign)
+            cells = []
             for fn in os.listdir(side):
                 with open(os.path.join(side, fn)) as fh:
-                    imported[fn] = json.load(fh)
+                    cells.append(json.load(fh))
             print(json.dumps({{
                 "statuses": [r.status for r in run.results],
-                "missing": {{n: [m for m in detector_modules(n)
-                                if m not in sys.modules] for n in names}},
-                "closure_sizes": [len(detector_modules(n)) for n in names],
-                "parent_numpy": parent_numpy,
+                "parent_numpy": "numpy" in sys.modules,
                 "numpy_backend": kernels.backend() == "numpy",
-                "cell_imports": imported,
+                "detectors": len(detector_names()),
+                "cells": cells,
             }}))
-        """)
-        assert out["statuses"] == ["ok"] * 9
-        assert all(out["closure_sizes"])
-        assert out["missing"] == {"spd_offline": [], "spd_online": [],
-                                  "fasttrack": []}
+        """, prelude=warm_prelude(tmp_path))
+        n = 2 * out["detectors"] + 3
+        assert out["statuses"] == ["ok"] * n
         assert out["parent_numpy"] == out["numpy_backend"]
-        assert len(out["cell_imports"]) == 9
-        assert all(mods == [] for mods in out["cell_imports"].values()), (
-            out["cell_imports"])
+        assert len(out["cells"]) == n
+        assert [c["imports"] for c in out["cells"]] == [[]] * n
+        assert (any(c["numpy_calls"] for c in out["cells"])
+                == out["numpy_backend"])
 
-    def test_inline_clock_starts_after_the_imports(self):
-        """A cell's clock starts only once its detector's modules are
-        loaded, so the first cell of each detector is not charged for
-        one-time imports."""
+    def test_inline_clock_starts_after_the_imports(self, tmp_path):
+        """A cell's clock starts only once every module its detector
+        needs is loaded: no adapter call under ``InlineRunner`` imports
+        a ``repro`` or ``numpy`` module, the first call of each
+        detector and numpy-dispatching calls included."""
         out = run_script("""
             import functools
             import repro.exp.detectors as detectors
-            from repro.exp.cache import detector_modules
             from repro.exp.runner import InlineRunner
 
-            names = ("spd_offline", "spd_online", "fasttrack")
-            missing = {n: [] for n in names}
+            calls = []
 
             def watch(name):
                 plain = detectors._REGISTRY[name]
-                wanted = detector_modules(name)
 
                 @functools.wraps(plain)
                 def adapter(trace, config):
-                    missing[name].append(
-                        [m for m in wanted if m not in sys.modules])
-                    return plain(trace, config)
+                    before, dispatched = set(sys.modules), numpy_calls()
+                    try:
+                        return plain(trace, config)
+                    finally:
+                        calls.append([name, new_modules(before),
+                                      numpy_calls() - dispatched])
                 detectors._REGISTRY[name] = adapter
 
-            for n in names:
+            for n in detector_names():
                 watch(n)
-            c = Campaign(name="inline", traces=corpus("sigma2", "picklock"),
-                         detectors=[DetectorSpec(name=n) for n in names],
-                         include_stats=False)
-            run = InlineRunner().run(c)
-            print(json.dumps({"statuses": [r.status for r in run.results],
-                              "missing": missing}))
+            run = InlineRunner().run(campaign)
+            print(json.dumps({
+                "statuses": [r.status for r in run.results],
+                "numpy_backend": kernels.backend() == "numpy",
+                "detectors": len(detector_names()),
+                "calls": calls,
+            }))
+        """, prelude=warm_prelude(tmp_path))
+        n = 2 * out["detectors"] + 3
+        assert out["statuses"] == ["ok"] * n
+        assert len(out["calls"]) == n
+        assert [c for c in out["calls"] if c[1]] == []
+        assert any(c[2] for c in out["calls"]) == out["numpy_backend"]
+
+    def test_importing_exp_leaves_numpy_unloaded(self):
+        """The registry imports every detector, and none of them imports
+        numpy at module level: a process that never dispatches to a
+        numpy kernel never loads it."""
+        out = run_script("""
+            import repro.exp  # noqa: F401
+            print(json.dumps({"numpy": "numpy" in sys.modules}))
         """)
-        assert out["statuses"] == ["ok"] * 6
-        for name, calls in out["missing"].items():
-            assert calls == [[], []], (name, calls)
+        assert out == {"numpy": False}
 
 
 class TestScheduler:

@@ -366,7 +366,7 @@ class TestJournalResume:
 
     def test_resume_survives_code_version_change(self, tmp_path, monkeypatch):
         """The journal replays even when the cache would go cold: its
-        keys deliberately exclude the detector code version."""
+        keys deliberately exclude the code version."""
         from repro.exp import cache as cache_mod
 
         path = str(tmp_path / JOURNAL_NAME)
@@ -375,8 +375,7 @@ class TestJournalResume:
             j.start(c.name)
             InlineRunner().run(c, journal=j)
             j.finalize(cells=1)
-        monkeypatch.setattr(cache_mod, "_DETECTOR_VERSIONS",
-                            {"spd_offline": "deadbeef00000000"})
+        monkeypatch.setattr(cache_mod, "_CODE_VERSION", "deadbeef00000000")
         resume = RunJournal.load(path)
         run = InlineRunner().run(c, resume=resume)
         assert run.journal_replays == 1
