@@ -39,7 +39,6 @@ import os
 
 import pytest
 
-import repro.kernels as kernels
 from repro.exp.campaign import Campaign, DetectorSpec, TraceSource
 from repro.exp.runner import InlineRunner
 from repro.synth.random_traces import RandomTraceConfig
@@ -80,32 +79,12 @@ PR1_BASELINE = {
 EXPECTED = {"spd_online_reports": 622, "spd_offline_deadlocks": 112,
             "fasttrack_races": 48}
 
-#: pure-python events/sec recorded just before the ``repro.kernels``
-#: layer landed (PR-8) — the ``current_events_per_sec`` numbers in the
-#: committed ``BENCH_spd.json`` at that commit.  The numpy-backend
-#: acceptance floors below are expressed relative to these; like the
-#: other baselines they are recorded constants, re-measured only after
-#: a hardware change (run with ``REPRO_KERNELS=python``).
-PR7_PYTHON_BASELINE = {
-    "spd_online": 4930.8,
-    "spd_offline": 14707.8,
-    "fasttrack": 511864.8,
-}
-
 #: PR-1 acceptance bar: SPDOnline must stay >= 3x the seed throughput.
 MIN_ONLINE_SPEEDUP = 3.0
-#: PR-3 acceptance bar: SPDOffline (phase 1 on the interned lock graph
-#: with the bounded-length cycle fast path, phase 2 on TraceIndex
-#: columns) must stay >= 2x its PR-1 throughput.
+#: PR-3 acceptance bar: SPDOffline (phase 1 over interned ids with the
+#: bounded-length fast path, phase 2 on TraceIndex columns) must stay
+#: >= 2x its PR-1 throughput.
 MIN_OFFLINE_SPEEDUP_VS_PR1 = 2.0
-#: Floors of the numpy backend, set when the kernel layer landed: with
-#: numpy importable the detectors must deliver >= 3x (offline) / >= 2x
-#: (online) the recorded pure-python throughput on the same workloads.
-#: No closure has a numpy kernel any more, so both floors now measure
-#: python closures over the backend's only kernels, ``index_np`` and
-#: ``alg_np``.
-MIN_NUMPY_OFFLINE_SPEEDUP = 3.0
-MIN_NUMPY_ONLINE_SPEEDUP = 2.0
 
 
 def _campaign() -> Campaign:
@@ -128,11 +107,10 @@ def _campaign() -> Campaign:
     )
 
 
-def _measure(backend="python"):
+def _measure():
     # No cache (cached timings would be stale) and no SIGALRM (an
     # interval timer would perturb the measurement).
-    with kernels.use(backend):
-        run = InlineRunner(enforce_timeouts=False).run(_campaign())
+    run = InlineRunner(enforce_timeouts=False).run(_campaign())
     cells = {(r.trace_name, r.detector_name): r for r in run.results}
     for cell in cells.values():
         assert cell.status == "ok", (cell.detector_name, cell.error)
@@ -155,26 +133,14 @@ def _measure(backend="python"):
 
 
 def test_throughput_and_record():
-    have_numpy = kernels._import_numpy() is not None
-
-    eps, outputs = _measure("python")
-    # Detector outputs must stay bit-stable on the fixed workloads —
-    # and bit-identical from the numpy kernel backend.
+    eps, outputs = _measure()
+    # Detector outputs must stay bit-stable on the fixed workloads.
     assert outputs == EXPECTED, outputs
 
-    eps_np = None
-    if have_numpy:
-        eps_np, outputs_np = _measure("numpy")
-        assert outputs_np == EXPECTED, outputs_np
-
     if os.environ.get("REPRO_BENCH_SKIP_PERF") == "1":
-        pytest.skip("REPRO_BENCH_SKIP_PERF=1: outputs verified "
-                    "(both kernel backends), machine-relative perf "
-                    "floors skipped")
+        pytest.skip("REPRO_BENCH_SKIP_PERF=1: outputs verified, "
+                    "machine-relative perf floors skipped")
 
-    # The headline ``current_events_per_sec`` stays the pure-python
-    # numbers (the canonical oracle, comparable across all prior PRs);
-    # per-backend numbers live alongside it.
     payload = {
         "description": "events/sec of the flagship detectors on fixed "
                        "synthetic workloads (see benchmarks/test_perf_regression.py)",
@@ -185,18 +151,11 @@ def test_throughput_and_record():
         "seed_baseline_events_per_sec": SEED_BASELINE,
         "pr1_events_per_sec": PR1_BASELINE,
         "current_events_per_sec": eps,
-        "per_backend_events_per_sec": {
-            "python": eps,
-            "numpy": eps_np,
-        },
         "speedup_vs_seed": {
             k: round(eps[k] / SEED_BASELINE[k], 2) for k in eps
         },
         "speedup_vs_pr1": {
             k: round(eps[k] / PR1_BASELINE[k], 2) for k in eps
-        },
-        "numpy_speedup_vs_python": None if eps_np is None else {
-            k: round(eps_np[k] / eps[k], 2) for k in eps
         },
         "outputs": outputs,
     }
@@ -218,27 +177,6 @@ def test_throughput_and_record():
         f"({PR1_BASELINE['spd_offline']} ev/s); "
         f"need >= {MIN_OFFLINE_SPEEDUP_VS_PR1}x"
     )
-
-    # The numpy-backend floors: the detectors under the numpy backend
-    # (whose only kernels are index_np and alg_np) must beat the
-    # recorded pure-python throughput by the kernel-layer margins.
-    if eps_np is not None:
-        np_off = eps_np["spd_offline"] / PR7_PYTHON_BASELINE["spd_offline"]
-        assert np_off >= MIN_NUMPY_OFFLINE_SPEEDUP, (
-            f"SPDOffline under the numpy backend regressed: "
-            f"{eps_np['spd_offline']:.0f} "
-            f"ev/s is only {np_off:.1f}x the recorded pure-python "
-            f"throughput ({PR7_PYTHON_BASELINE['spd_offline']} ev/s); "
-            f"need >= {MIN_NUMPY_OFFLINE_SPEEDUP}x"
-        )
-        np_on = eps_np["spd_online"] / PR7_PYTHON_BASELINE["spd_online"]
-        assert np_on >= MIN_NUMPY_ONLINE_SPEEDUP, (
-            f"SPDOnline under the numpy backend regressed: "
-            f"{eps_np['spd_online']:.0f} "
-            f"ev/s is only {np_on:.1f}x the recorded pure-python "
-            f"throughput ({PR7_PYTHON_BASELINE['spd_online']} ev/s); "
-            f"need >= {MIN_NUMPY_ONLINE_SPEEDUP}x"
-        )
 
 
 # -- unbounded cycle enumeration (round-2 incremental SCC) --------------
@@ -269,32 +207,27 @@ def _cycles_workload():
 
 
 def test_cycles_enumeration_and_record():
-    """Unbounded |Cyc| enumeration: bit-stable counts on both
-    backends, plus the incremental-SCC throughput floor."""
+    """Unbounded |Cyc| enumeration: bit-stable counts, plus the
+    incremental-SCC throughput floor."""
     import time
 
     from repro.core.alg import abstract_deadlock_patterns
 
-    have_numpy = kernels._import_numpy() is not None
     spec, trace = _cycles_workload()
 
-    walls = {}
-    for backend in ("python",) + (("numpy",) if have_numpy else ()):
-        with kernels.use(backend):
-            best = None
-            for _ in range(3):
-                t0 = time.perf_counter()
-                num_cycles, patterns = abstract_deadlock_patterns(trace)
-                wall = time.perf_counter() - t0
-                best = wall if best is None else min(best, wall)
-            got = {"cycles": num_cycles, "abstract_patterns": len(patterns)}
-            assert got == EXPECTED_CYCLES, (backend, got)
-            walls[backend] = round(best, 4)
+    best = None
+    for _ in range(3):
+        t0 = time.perf_counter()
+        num_cycles, patterns = abstract_deadlock_patterns(trace)
+        wall = time.perf_counter() - t0
+        best = wall if best is None else min(best, wall)
+    got = {"cycles": num_cycles, "abstract_patterns": len(patterns)}
+    assert got == EXPECTED_CYCLES, got
+    walls = {"python": round(best, 4)}
 
     if os.environ.get("REPRO_BENCH_SKIP_PERF") == "1":
-        pytest.skip("REPRO_BENCH_SKIP_PERF=1: cycle counts verified "
-                    "(both kernel backends), machine-relative perf "
-                    "floors skipped")
+        pytest.skip("REPRO_BENCH_SKIP_PERF=1: cycle counts verified, "
+                    "machine-relative perf floors skipped")
 
     payload = {
         "description": "wall seconds of one unbounded "

@@ -26,18 +26,16 @@ echo "   tests/test_perf_equivalence.py + tests/test_trace_index.py, the"
 echo "   streaming-session slice: tests/test_stream.py, the resilience +"
 echo "   chaos bit-identity suites: tests/test_resilience.py +"
 echo "   tests/test_chaos.py (inline and process-pool runners), the"
-echo "   kernel-vs-python differential suites: tests/test_kernels.py +"
-echo "   tests/test_kernels_round2.py; the prefix-walk differential:"
-echo "   tests/test_prefix_walk.py, offline phase 2's prefix-closure walk"
-echo "   against Algorithm 2's plain walk; and the prefix-seeding"
-echo "   differential: tests/test_prefix_seed.py, SPDOnline/SPDOnlineK"
-echo "   contexts started from per-thread prefix closures against fresh"
-echo "   closures, fed by step(), run() and checkpoint/restore cuts) =="
-echo "-- backend: auto (numpy kernels when installed, imported at first use) --"
-python -c "import sys, repro.kernels as k; print('resolved backend:', k.backend(), '| numpy loaded by resolving:', 'numpy' in sys.modules)"
+echo "   2-cycle join differential: tests/test_alg_join.py, ALG's 2-cycles"
+echo "   by a direct join against Johnson's algorithm; the prefix-walk"
+echo "   differential: tests/test_prefix_walk.py, offline phase 2's"
+echo "   prefix-closure walk against Algorithm 2's plain walk; and the"
+echo "   prefix-seeding differential: tests/test_prefix_seed.py,"
+echo "   SPDOnline/SPDOnlineK contexts started from per-thread prefix"
+echo "   closures against fresh closures, fed by step(), run() and"
+echo "   checkpoint/restore cuts; every kernel backend runs the same python"
+echo "   code, so one run covers them all) =="
 python -m pytest -x -q
-echo "-- backend: python (pure-python reference path forced) --"
-REPRO_KERNELS=python python -m pytest -x -q
 
 echo "== runner leak check (dev mode: a file left unclosed, such as a cell's"
 echo "   result or stderr file, fails the step; tests/test_pool.py also"
@@ -47,12 +45,10 @@ python -X dev -m pytest -q -W error::ResourceWarning \
     tests/test_pool.py tests/test_chaos.py tests/test_exp.py \
     tests/test_resilience.py
 
-echo "== examples (each under both kernel backends; any non-zero exit fails) =="
+echo "== examples (any non-zero exit fails) =="
 for example in examples/*.py; do
-    for kernels in auto python; do
-        echo "-- $example ($kernels) --"
-        REPRO_KERNELS=$kernels python "$example" > /dev/null
-    done
+    echo "-- $example --"
+    python "$example" > /dev/null
 done
 
 echo "== campaign cache across processes (examples/paper_tables.toml run twice"
@@ -82,9 +78,8 @@ python -m pytest -q perfbench/tests
 echo "== paper checks (the benchmarks/ files that pin the paper's claims:"
 echo "   every Table 1 row's SPD and SeqCheck bug counts, Table 2,"
 echo "   precision, figures, online-K, audit, races, windowed, closure"
-echo "   ablation, hardness; python backend, so every closure runs"
-echo "   through the one python engine; benchmark timing loops off) =="
-REPRO_KERNELS=python python -m pytest -q --benchmark-disable \
+echo "   ablation, hardness; benchmark timing loops off) =="
+python -m pytest -q --benchmark-disable \
     benchmarks/test_table1.py benchmarks/test_table2.py \
     benchmarks/test_precision.py benchmarks/test_paper_figures.py \
     benchmarks/test_online_k.py benchmarks/test_audit.py \
@@ -105,8 +100,7 @@ case "${REPRO_FUZZ_ITERS:-0}" in
     0)
         : ;;
     *)
-        echo "== streaming + kernel + prefix-walk + prefix-seed fuzz loops + seeded detector fault sweeps (REPRO_FUZZ_ITERS=${REPRO_FUZZ_ITERS}) =="
+        echo "== streaming + prefix-walk + prefix-seed fuzz loops + seeded detector fault sweeps (REPRO_FUZZ_ITERS=${REPRO_FUZZ_ITERS}) =="
         python -m pytest -q -m fuzz tests/test_stream.py tests/test_chaos.py \
-            tests/test_kernels.py tests/test_kernels_round2.py \
             tests/test_prefix_walk.py tests/test_prefix_seed.py ;;
 esac

@@ -526,9 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--kernels", choices=("auto", "numpy", "python"), default=None,
-        help="kernel backend for the hot loops (default: REPRO_KERNELS "
-             "env var, else auto = numpy when installed); outputs are "
-             "bit-identical either way")
+        help="kernel backend (default: REPRO_KERNELS env var, else "
+             "auto = numpy when installed); every backend runs the same "
+             "python code, and 'numpy' fails at startup without numpy")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="predict deadlocks in a trace file")
@@ -698,18 +698,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     process entry point (:func:`entry`) maps it to the exit-code
     contract below.
     """
-    args = build_parser().parse_args(argv)
-    if getattr(args, "kernels", None) is not None:
-        import repro.kernels as kernels
+    import repro.kernels as kernels
 
+    args = build_parser().parse_args(argv)
+    # Resolve eagerly: a numpy request (flag or REPRO_KERNELS) on a box
+    # without numpy is a usage error at startup.
+    if getattr(args, "kernels", None) is not None:
         # Scoped, not global: in-process callers (tests, scripting)
         # must not leak one invocation's backend into the next.
         with kernels.use(args.kernels):
-            # Resolve eagerly: "--kernels numpy" on a box without numpy
-            # is a usage error at startup, not a KernelsError surfacing
-            # from a hot loop halfway through a long run.
             kernels.backend()
             return args.func(args)
+    kernels.backend()
     return args.func(args)
 
 

@@ -12,13 +12,19 @@ id form (:class:`~repro.locks.abstract.AbstractAcquireIds`): edges
 compare int thread/lock ids and intersect frozensets of lock ids.
 String :class:`AbstractAcquire` objects are materialized only for the
 patterns that survive the filter.
+
+Patterns of size at most 2 (SPDOnline's scope) need no graph: an edge
+joins two threads, so ALG has no self-loops, and its 2-cycles are the
+pairs of acquires by two threads that each hold the other's lock under
+disjoint held sets, which a join on (lock, held lock) finds directly
+(:func:`_two_cycles`).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-import repro.kernels as kernels
 from repro.core.patterns import AbstractDeadlockPattern
 from repro.graph.digraph import DiGraph
 from repro.graph.johnson import simple_cycles
@@ -32,13 +38,6 @@ from repro.trace.trace import Trace, as_trace
 
 def _build_alg_edges(acquires: Sequence[AbstractAcquireIds]) -> DiGraph:
     """``ALG`` over node indices ``0..len(acquires)-1`` (int ids)."""
-    if kernels.backend() == "numpy":
-        from repro.kernels.alg_np import build_alg_edges_np
-
-        graph = build_alg_edges_np(acquires)
-        if graph is not None:
-            return graph
-    kernels.record_dispatch("alg_edges", "python", events=len(acquires))
     graph: DiGraph = DiGraph()
     for i in range(len(acquires)):
         graph.add_node(i)
@@ -56,6 +55,45 @@ def _build_alg_edges(acquires: Sequence[AbstractAcquireIds]) -> DiGraph:
             if t1 != eta2.thread and held1.isdisjoint(eta2.held):
                 graph.add_edge(i, j)
     return graph
+
+
+def _two_cycles(
+    acquires: Sequence[AbstractAcquireIds],
+    max_cycles: Optional[int] = None,
+) -> Iterator[Tuple[int, int]]:
+    """ALG's 2-cycles as node pairs ``(s, v)``, ``s < v``, without ALG.
+
+    ``s → v → s`` needs distinct threads, disjoint held sets and
+    ``lock(s) ∈ held(v)``, ``lock(v) ∈ held(s)``.  Indexing every node
+    ``v`` under the keys ``(lock(v), h)`` for ``h ∈ held(v)`` makes the
+    partners of ``s`` the nodes under ``(h, lock(s))`` for
+    ``h ∈ held(s)``.  Yields in :func:`simple_cycles`' order (``s``
+    ascending, then ``v``) and stops after ``max_cycles`` as it does.
+    """
+    if max_cycles is not None and max_cycles <= 0:
+        return
+    by_key: Dict[Tuple[int, int], List[int]] = {}
+    for j, eta in enumerate(acquires):
+        for h in eta.held:
+            by_key.setdefault((eta.lock, h), []).append(j)
+    emitted = 0
+    for s, eta in enumerate(acquires):
+        lock, thread, held = eta.lock, eta.thread, eta.held
+        partners: List[int] = []
+        for h in held:
+            # buckets ascend, and those of one s hold distinct nodes
+            # (their locks differ)
+            bucket = by_key.get((h, lock), ())
+            for v in bucket[bisect_right(bucket, s):]:
+                other = acquires[v]
+                if other.thread != thread and held.isdisjoint(other.held):
+                    partners.append(v)
+        partners.sort()
+        for v in partners:
+            yield s, v
+            emitted += 1
+            if max_cycles is not None and emitted >= max_cycles:
+                return
 
 
 def build_abstract_lock_graph(trace: Trace) -> DiGraph:
@@ -111,11 +149,12 @@ def abstract_deadlock_patterns(
 
     Returns ``(num_cycles, patterns)`` — the total simple-cycle count of
     ALG (the ``|Cyc|`` column of Table 1) and the cycles that pass the
-    abstract-deadlock-pattern filter (the ``A. P.`` column).
+    abstract-deadlock-pattern filter (the ``A. P.`` column).  With
+    ``max_size`` at most 2 the cycles come from :func:`_two_cycles`,
+    without building ALG.
     """
     trace = as_trace(trace)
     acquires = collect_abstract_acquire_ids(trace)
-    graph = _build_alg_edges(acquires)
     compiled = trace.compiled
     num_cycles = 0
     patterns: List[AbstractDeadlockPattern] = []
@@ -127,6 +166,17 @@ def abstract_deadlock_patterns(
             eta = named[i] = acquires[i].to_named(compiled)
         return eta
 
+    if max_size is not None and max_size <= 2:
+        # ALG has no self-loops, so no cycle of size 1.  Every 2-cycle
+        # is a pattern: its edges make its threads differ and its held
+        # sets disjoint, so its locks differ too, each lying in the
+        # other's held set.
+        if max_size == 2:
+            for s, v in _two_cycles(acquires, max_cycles):
+                patterns.append(AbstractDeadlockPattern(
+                    (name_of(s), name_of(v))).canonical())
+        return len(patterns), patterns
+    graph = _build_alg_edges(acquires)
     for idx_cycle in simple_cycles(graph, max_length=max_size, max_cycles=max_cycles):
         num_cycles += 1
         nodes = [acquires[i] for i in idx_cycle]

@@ -11,12 +11,10 @@ A cell's key digests everything that can change its output:
   statically or dynamically, the trace pipeline, the runner that
   shapes the record — so any source edit invalidates every cell.
 
-Kernel backends share keys deliberately: the *selected* backend
-(``REPRO_KERNELS`` / :func:`repro.kernels.set_backend`) is not part of
-the key.  The kernels are proven bit-identical to the canonical python
-paths (``tests/test_kernels.py``), so a record computed under either
-backend is valid for both; editing a kernel module still invalidates,
-like any other source edit.
+The selected kernel backend (``REPRO_KERNELS`` /
+:func:`repro.kernels.set_backend`) is not part of the key: every
+backend runs the same python code, so a record computed under one is
+valid for all.
 
 :class:`ResultCache` keeps records as JSON files under
 ``<root>/<key[:2]>/<key>.json``, written atomically (tmp + rename) so a

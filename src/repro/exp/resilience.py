@@ -31,7 +31,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import repro.faults as faults
 import repro.obs as obs

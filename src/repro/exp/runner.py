@@ -15,12 +15,11 @@ differ only in *where* the cell runs:
   by killing the worker (``status="timeout"``).  Before each cell a
   worker resets its :mod:`repro.faults` fire counts and re-arms
   :mod:`repro.obs`, so both stay per cell attempt.  Importing this
-  module imports the detector registry, and with it every detector's
-  modules; under ``fork`` the parent also imports numpy and its kernel
-  modules when the kernel backend resolves to numpy, so no cell pays
-  for an import.  The scheduler sleeps until a worker replies or
-  exits, a deadline or retry backoff expires, or a signal lands — no
-  polling.
+  module imports the detector registry, and with it every module a
+  detector runs (no detector imports numpy), so a forked worker
+  inherits them and no cell pays for an import.  The scheduler sleeps
+  until a worker replies or exits, a deadline or retry backoff
+  expires, or a signal lands — no polling.
 
 Either way a cell's clock starts after its detector's modules are
 imported: one-time imports never count as detector time.
@@ -68,7 +67,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import repro.faults as faults
-import repro.kernels as kernels
 import repro.obs as obs
 from repro.exp.cache import ResultCache, cell_key
 from repro.exp.campaign import Campaign, DetectorSpec, TraceSource
@@ -282,25 +280,6 @@ class _DrainInterrupt(BaseException):
         self.signum = signum
 
 
-def _preload() -> None:
-    """Import numpy and its two kernel modules when numpy is the
-    resolved kernel backend, so no cell's clock pays for an import.
-
-    Every detector's modules are loaded already: importing the registry
-    (:mod:`repro.exp.detectors`) imports them.  Once numpy and the
-    kernels are loaded a call costs a few dictionary lookups.  A failed
-    numpy import under ``auto`` leaves the python backend in place; an
-    unusable explicit request is reported by the cell that dispatches.
-    """
-    try:
-        np = kernels.numpy_or_none()
-    except kernels.KernelsError:
-        return
-    if np is not None:
-        import repro.kernels.alg_np  # noqa: F401
-        import repro.kernels.index_np  # noqa: F401
-
-
 def run_cell(task: CellTask) -> CellResult:
     """Execute one cell in the current process (no timeout handling).
 
@@ -332,7 +311,6 @@ def _run_cell_inner(task: CellTask, base: dict) -> CellResult:
         faults.fire("cell", index=task.index, attempt=task.attempt,
                     detector=task.detector.id, trace=task.trace.name)
         adapter = get_adapter(task.detector.name)
-        _preload()
         with obs.span("trace.source", cat="exp", trace=task.trace.name):
             trace = task.trace.load()
         num_events = len(trace)
@@ -756,11 +734,9 @@ class ProcessPoolRunner(_BaseRunner):
     remaining cells.
 
     Every detector's modules are loaded with the registry this module
-    imports; under the ``fork`` start method the parent also imports
-    numpy and its kernel modules when the kernel backend resolves to
-    numpy (once per process, under a ``pool.preload`` span), so forked
-    workers inherit them instead of importing them on a cell's clock.
-    The scheduler then sleeps in
+    imports, so forked workers inherit them instead of importing them
+    on a cell's clock; no detector imports numpy, so neither the parent
+    nor a worker loads it.  The scheduler sleeps in
     :func:`multiprocessing.connection.wait` until a worker replies or
     exits, the nearest cell deadline or retry backoff expires, or
     SIGINT/SIGTERM arrives (the signal's wake-up byte lands on a
@@ -805,9 +781,6 @@ class ProcessPoolRunner(_BaseRunner):
         pending: List[CellTask] = list(tasks)
         delayed: List[Tuple[float, CellTask]] = []   # (ready time, task)
         workers: List[_Worker] = []
-        if self._ctx.get_start_method() == "fork":
-            with obs.span("pool.preload", cat="pool"):
-                _preload()
         wake_r, wake_w = os.pipe()
         os.set_blocking(wake_w, False)
         old_handlers = {}

@@ -40,17 +40,6 @@ class DiGraph(Generic[N]):
             self._succ[i].add(j)
             self._sorted_valid = False
 
-    def add_successors_sorted(self, src_idx: int, dst_idxs: Iterable[int]) -> None:
-        """Bulk form of repeated ``add_edge`` over already-interned nodes.
-
-        ``dst_idxs`` must be ascending node indices; inserting them in
-        one ``set.update`` reproduces the insertion history (and hence
-        iteration order) of the equivalent ``add_edge`` sequence.  Used
-        by the numpy graph-construction kernels.
-        """
-        self._succ[src_idx].update(dst_idxs)
-        self._sorted_valid = False
-
     def has_edge(self, src: N, dst: N) -> bool:
         i = self._index.get(src)
         j = self._index.get(dst)

@@ -1,57 +1,38 @@
-"""Optional vectorized (NumPy) kernels under the columnar core.
+"""Kernel-backend selection; no area dispatches to numpy.
 
-The PR-3/PR-5 refactors compiled every hot path down to interned int
-columns — exactly the layout an array library consumes in bulk.  This
-package holds NumPy ports of the inner loops, each behind the existing
-API of the subsystem it accelerates:
-
-- :mod:`repro.kernels.index_np` — the ``TraceIndex`` O(N) derivation
-  pass as column-at-a-time array passes (incremental ``extend()``
-  included, so :class:`repro.stream.StreamSession` benefits too).
-- :mod:`repro.kernels.alg_np` — abstract-lock-graph edge construction
-  as a sorted join plus held-set bitmasks.
-
-Every Algorithm 1 closure is python under every backend: SPDOffline's
-phase 2, SPDOnline and SPDOnlineK all run
-:class:`repro.core.closure.SPClosure`.  FastTrack, Goodlock, the naive
-checker and SPDOnlineK's signature sweep have python loops only too;
-under numpy they all still run on the index and ALG kernels above.
+The NumPy kernels that once sat under the columnar core are gone.
 Prefix closures left the two closure kernels (a batched pattern check
-and an online closure) no margin to earn their code: phase 2's decide
-most pattern instantiations without a fix-point
-(:mod:`repro.core.spd_offline`), and SPDOnline's start each new
-context at the fix-point a fresh closure would first compute
-(:mod:`repro.core.spd_online`).
+and an online closure) no margin, and python derives the
+``TraceIndex`` and the abstract lock graph about as fast as the last
+two (``index_np``, ``alg_np``) did, while every process that loaded
+numpy for them carried 12–18 MB more peak RSS.  ALG's 2-cycles, the
+``max_size=2`` scope, now come from a direct join without building the
+graph (:mod:`repro.core.alg`).  Every path is python under every
+backend, so no analysis process imports numpy.
 
 Backend selection
 -----------------
 
-``REPRO_KERNELS`` picks the backend:
+The selector stays because callers outside the package (the
+``perfbench`` harness's set-up, its recorded-backend check and its
+dense-pattern oracle) still call it; it goes with the next change to
+that benchmark.  ``REPRO_KERNELS`` picks the backend:
 
-- ``python`` — the canonical pure-python paths only; numpy is never
-  imported.
+- ``python`` — numpy is never imported.
 - ``numpy``  — require numpy: :func:`backend` imports it at once and
-  raises if it is not importable.
-- ``auto``   — (default) numpy when installed, else python.  Resolving
-  ``auto`` only looks numpy up (``importlib.util.find_spec``); numpy
-  is imported at the first dispatch whose size floor says the numpy
-  path runs, so a process that never reaches one (FastTrack, an online
-  stream) never loads it.  If that import fails, ``auto``
-  means python for the rest of the process.
+  raises :class:`KernelsError` if it is not importable.
+- ``auto``   — (default) ``"numpy"`` when numpy is installed, else
+  ``"python"``; resolving it only looks numpy up
+  (``importlib.util.find_spec``) and never imports it.
 
-Each kernel entry point checks its own size floor before it calls
-:func:`numpy_or_none`, the one place numpy is imported.
+Every backend runs the same code, so outputs, and the experiment
+cache keys that ignore the backend (:mod:`repro.exp.cache`), are the
+same under each.  :func:`set_backend` / :class:`use` override the
+environment for the CLI ``--kernels`` flag and for tests.
 
-numpy is an *optional extra* (``pip install repro[numpy]``), never a
-hard dependency: every dispatch site falls back to the canonical
-python implementation, which remains the differential oracle — the
-kernels are proven bit-identical against it corpus-wide and over
-seeded random traces by ``tests/test_kernels.py``.  Because outputs
-are bit-identical, experiment cache keys are *shared* across backends
-(see :mod:`repro.exp.cache`).
-
-:func:`set_backend` / :class:`use` override the environment for the
-CLI ``--kernels`` flag and for tests.
+:func:`record_dispatch` / :func:`counters` keep the per-area dispatch
+counters that ``repro obs`` reports; cycle enumeration records
+``kernels.johnson_scc.incremental`` (:mod:`repro.graph.johnson`).
 """
 
 from __future__ import annotations
@@ -64,7 +45,6 @@ __all__ = [
     "KernelsError",
     "backend",
     "counters",
-    "numpy_or_none",
     "record_dispatch",
     "requested",
     "set_backend",
@@ -122,10 +102,10 @@ def requested() -> str:
 def backend() -> str:
     """The resolved backend: ``"python"`` or ``"numpy"``.
 
-    An explicit ``numpy`` request imports numpy here, so a missing
-    numpy is an error at startup rather than a silent slowdown.
-    ``auto`` does not import it: it answers the outcome of an import
-    already tried, else whether numpy is installed.
+    An explicit ``numpy`` request imports numpy here and raises
+    :class:`KernelsError` when it is not importable.  ``auto`` does not
+    import it: it answers the outcome of an import already tried, else
+    whether numpy is installed.
     """
     req = requested()
     if req == "python":
@@ -139,23 +119,6 @@ def backend() -> str:
             )
         return "numpy"
     return "numpy" if _numpy_installed() else "python"
-
-
-def numpy_or_none():
-    """The numpy module when the resolved backend is numpy, else None.
-
-    The one place numpy is imported.  Every kernel entry point calls
-    it only once its own size floor says the numpy path runs::
-
-        if <batch big enough>:
-            np = kernels.numpy_or_none()
-            if np is not None:
-                ... vectorized path ...
-
-    Under ``auto`` a failed import returns None, and :func:`backend`
-    reads python from then on.
-    """
-    return _import_numpy() if backend() == "numpy" else None
 
 
 def set_backend(name: Optional[str]) -> None:

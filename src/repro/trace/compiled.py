@@ -425,6 +425,15 @@ def parse_std_into(out: CompiledTrace, lines: Iterable[str],
     can keep calling this with successive line batches of one file
     (passing the returned line number back in) and the appended columns
     are byte-identical to a one-shot parse.
+
+    Traces repeat a few heads (the text before the first ``|``) and
+    tails (the rest) many times, so within one call each distinct head
+    is interned once and each distinct tail without a location field
+    is parsed once; a line with a location takes the full path and is
+    not remembered, so the memos stay as small as the intern tables.
+    A remembered tail parsed without error, and its names were interned
+    when it was first seen, so a hit changes neither the columns, the
+    intern order nor the errors.
     """
     from repro.trace.parser import ParseError
 
@@ -433,6 +442,8 @@ def parse_std_into(out: CompiledTrace, lines: Iterable[str],
     threads_tab = out.threads_tab
     append_coded = out.append_coded
     intern_target = out._intern_target
+    heads: Dict[str, int] = {}                   # head -> thread id
+    tails: Dict[str, Tuple[int, int]] = {}       # tail -> (op, target id)
     lineno = start_lineno - 1
     for lineno, raw in enumerate(lines, start=start_lineno):
         line = raw.strip()
@@ -441,21 +452,31 @@ def parse_std_into(out: CompiledTrace, lines: Iterable[str],
         # thread | op ( target ) [| loc] — target may contain '|' but
         # not ')'.
         head, bar, rest0 = line.partition("|")
-        op, paren, rest = rest0.partition("(")
-        code = op_codes.get(op)
-        close = rest.find(")")
-        if code is None or not head or not bar or not paren or close < 0:
-            raise ParseError(lineno, line, "malformed event")
-        after = rest[close + 1:]
-        if after and not after.startswith("|"):
-            raise ParseError(lineno, line, "malformed event")
-        target = rest[:close].strip()
-        if not target:
-            raise ParseError(lineno, line, "empty target")
-        loc = after[1:].strip() if len(after) > 1 else None
-        append_coded(
-            code, threads_tab.intern(head.strip()), intern_target(code, target), loc
-        )
+        tail = tails.get(rest0)
+        if tail is None or not head:
+            op, paren, rest = rest0.partition("(")
+            code = op_codes.get(op)
+            close = rest.find(")")
+            if code is None or not head or not bar or not paren or close < 0:
+                raise ParseError(lineno, line, "malformed event")
+            after = rest[close + 1:]
+            if after and not after.startswith("|"):
+                raise ParseError(lineno, line, "malformed event")
+            target = rest[:close].strip()
+            if not target:
+                raise ParseError(lineno, line, "empty target")
+        tid = heads.get(head)
+        if tid is None:
+            tid = heads[head] = threads_tab.intern(head.strip())
+        if tail is None:
+            # interned after the thread: fork/join targets share its table
+            target_id = intern_target(code, target)
+            if after:
+                append_coded(code, tid, target_id,
+                             after[1:].strip() if len(after) > 1 else None)
+                continue
+            tail = tails[rest0] = (code, target_id)
+        append_coded(tail[0], tid, tail[1])
     if obs.enabled():
         obs.count("trace.events_parsed", len(out) - _n0)
     return lineno + 1

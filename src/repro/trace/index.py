@@ -41,7 +41,6 @@ import time
 from array import array
 from typing import Dict, FrozenSet, List, Tuple
 
-import repro.kernels as kernels
 import repro.obs as obs
 from repro.trace.compiled import CompiledTrace
 from repro.trace.events import (
@@ -99,7 +98,7 @@ class TraceIndex:
         "num_acquires", "num_requests", "lock_nesting_depth",
         "_held_frozen", "_pos", "_pool_ids", "_last_write", "_open_acq",
         "_held_stack", "_cur_held", "_seen_thread", "_seen_lock",
-        "_seen_var", "_np_trans",
+        "_seen_var",
     )
 
     def __init__(self, compiled: CompiledTrace) -> None:
@@ -132,9 +131,6 @@ class TraceIndex:
         self._seen_thread = bytearray()
         self._seen_lock = bytearray()
         self._seen_var = bytearray()
-        # Held-stack transition memo of the vectorized kernel
-        # (repro.kernels.index_np): (pool id, ±lock) -> pool id.
-        self._np_trans: Dict[Tuple[int, int], int] = {}
         self.extend()
 
     def extend(self) -> int:
@@ -197,26 +193,6 @@ class TraceIndex:
             grow = n_vars - len(last_write)
             last_write.extend([-1] * grow)
             seen_var.extend(b"\0" * grow)
-
-        # Vectorized derivation (repro.kernels): bit-identical columns,
-        # one argsort-and-fill pass instead of the event loop.  The
-        # kernel declines (False, no side effects) on small batches,
-        # when numpy fails to import, and on trace anomalies, which
-        # must surface through this loop's exact TraceError path.
-        if kernels.backend() == "numpy":
-            from repro.kernels.index_np import extend_batch
-
-            if extend_batch(self):
-                if _t0:
-                    obs.record_span("index.extend", _t0,
-                                    time.monotonic_ns(),
-                                    cat="trace", events=hi - lo)
-                    obs.count("index.events", hi - lo)
-                    obs.gauge("index.held_pool_stacks",
-                              len(held_offsets) - 1)
-                return hi - lo
-            kernels.record_dispatch("index_extend", "python",
-                                    events=hi - lo)
 
         for i in range(lo, hi):
             op = ops[i]

@@ -185,7 +185,7 @@ class TestKernelsBackendExitCodes:
     probe is import-level state."""
 
     @staticmethod
-    def _run(tmp_path, sigma2_file, backend):
+    def _run(tmp_path, sigma2_file, backend, env_backend=None):
         import os
         import subprocess
         import sys
@@ -201,9 +201,11 @@ class TestKernelsBackendExitCodes:
         env["PYTHONPATH"] = os.pathsep.join([str(fake), src])
         env.pop("REPRO_KERNELS", None)
         env.pop("REPRO_DEBUG", None)
+        if env_backend is not None:
+            env["REPRO_KERNELS"] = env_backend
+        flag = ["--kernels", backend] if backend is not None else []
         return subprocess.run(
-            [sys.executable, "-m", "repro.cli",
-             "--kernels", backend, "analyze", sigma2_file],
+            [sys.executable, "-m", "repro.cli", *flag, "analyze", sigma2_file],
             capture_output=True, text=True, env=env, timeout=120)
 
     def test_numpy_request_without_numpy_is_usage_error(
@@ -217,15 +219,21 @@ class TestKernelsBackendExitCodes:
         # fails at startup: no analysis output was produced
         assert "deadlock" not in proc.stdout
 
+    def test_numpy_env_request_without_numpy_is_usage_error(
+            self, tmp_path, sigma2_file):
+        proc = self._run(tmp_path, sigma2_file, None, env_backend="numpy")
+        assert proc.returncode == 2, (proc.stdout, proc.stderr)
+        assert "numpy is not importable" in proc.stderr
+        assert "deadlock" not in proc.stdout
+
     def test_python_backend_unaffected(self, tmp_path, sigma2_file):
         proc = self._run(tmp_path, sigma2_file, "python")
         assert proc.returncode == 1, (proc.stdout, proc.stderr)  # findings
         assert "sync-preserving deadlock" in proc.stdout
 
     def test_auto_with_broken_numpy_runs_python(self, tmp_path, sigma2_file):
-        # numpy's spec is found, so auto resolves to numpy until the
-        # first numpy dispatch tries the import; that failure falls back
-        # to the python path instead of surfacing.
+        # numpy's spec is found, so auto resolves to numpy, and no
+        # analysis path imports it: the run is the python run.
         import re
 
         def untimed(out):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hb.fasttrack import FastTrack, fasttrack_races
+from repro.hb.fasttrack import fasttrack_races
 from repro.hb.races import hb_races
 from repro.synth.random_traces import RandomTraceConfig, generate_random_trace
 from repro.trace.builder import TraceBuilder

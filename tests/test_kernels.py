@@ -1,16 +1,16 @@
-"""Kernel-vs-python differential suite (:mod:`repro.kernels`).
+"""Kernel-backend selection (:mod:`repro.kernels`).
 
-The pure-python implementations are the canonical semantics; the numpy
-kernels must be *bit-identical* to them — same reports, same stats,
-same derived columns, same checkpoint round-trips.  This suite proves
-it corpus-wide and over seeded random traces, and separately proves
-the python path works with numpy absent or broken (its spec and import
-are mocked), so numpy stays an optional extra rather than a hard
-dependency.  Fresh interpreters pin when numpy gets imported: at the
-first dispatch that takes a numpy path, not when ``auto`` resolves.
+No area dispatches to numpy any more: every backend runs the same
+python code.  The differential classes below pin that the selection
+changes nothing observable — same reports, stats and derived columns
+under ``python`` and ``numpy`` — since experiment cache keys ignore
+the backend.  The python path is also run with numpy absent or broken
+(its spec and import are mocked), so numpy stays an optional extra, and
+fresh interpreters pin that no analysis process loads numpy: only an
+explicit ``numpy`` request imports it.
 
-SPDOnline has no numpy kernel: its closures are python under every
-backend, and ``tests/test_prefix_seed.py`` holds its differential.
+SPDOnline's closure differential lives in ``tests/test_prefix_seed.py``
+and ALG's 2-cycle join in ``tests/test_alg_join.py``.
 
 The long fuzz loop is opt-in: ``REPRO_FUZZ_ITERS=2000 pytest -m fuzz
 tests/test_kernels.py``.
@@ -209,74 +209,45 @@ class TestIncrementalDifferential:
         assert ref == got
 
 
-# -- dispatch accounting ------------------------------------------------------
-
-
-@needs_numpy
-class TestDispatchAccounting:
-    """Bit-identity alone could pass with kernels that never engage;
-    pin that the numpy paths actually run."""
-
-    def test_detectors_dispatch_numpy(self):
-        cfg = RandomTraceConfig(num_threads=16, num_locks=8, num_vars=10,
-                                num_events=2000, max_nesting=3,
-                                acquire_prob=0.35, release_prob=0.3, seed=11)
-        trace = generate_random_trace(cfg)
-        comp = compile_trace(trace)
-        before = kernels.counters()
-        with kernels.use("numpy"):
-            TraceIndex(comp)
-            SPDOnline().run(trace)
-            spd_offline(trace, max_size=2)
-        after = kernels.counters()
-
-        def grew(key):
-            return after.get(key, 0) > before.get(key, 0)
-
-        assert grew("kernels.index_extend.numpy")
-
-
-# -- offline run: numpy kernels without numpy.ma ---------------------------
+# -- offline run: numpy loaded, numpy.ma not ----------------------------------
 
 
 @needs_numpy
 class TestOfflineSortedUnique:
-    """A numpy-backed ``spd_offline`` run never imports ``numpy.ma``
-    (``np.unique`` does since numpy 2.3), which would cost every
-    offline process its import time and memory."""
+    """An ``spd_offline`` run in a process that loaded numpy (an
+    explicit ``numpy`` request) never imports ``numpy.ma`` (``np.unique``
+    does since numpy 2.3), which would cost every offline process its
+    import time and memory."""
 
     def test_spd_offline_leaves_numpy_ma_unloaded(self):
-        """Fresh interpreter: a numpy-backed ``spd_offline`` run that
-        checks at least one pattern never imports ``numpy.ma``.  The
-        input is above the index and ALG size floors, so both numpy
-        kernels run."""
-        import subprocess
-        import sys
+        """Fresh interpreter: resolving ``REPRO_KERNELS=numpy`` imports
+        numpy, as ``repro analyze`` does at startup; an ``spd_offline``
+        run that checks at least one pattern then never imports
+        ``numpy.ma`` and dispatches nothing to numpy."""
+        out = fresh_json("""
+            import json, sys
+            import repro.kernels as kernels
+            from repro.core.spd_offline import spd_offline
+            from repro.synth.random_traces import (
+                RandomTraceConfig, generate_random_trace)
 
-        script = (
-            "import sys\n"
-            "import repro.kernels as kernels\n"
-            "from repro.core.spd_offline import spd_offline\n"
-            "from repro.synth.random_traces import (\n"
-            "    RandomTraceConfig, generate_random_trace)\n"
-            "kernels.set_backend('numpy')\n"
-            "trace = generate_random_trace(RandomTraceConfig(\n"
-            "    num_threads=6, num_locks=8, num_vars=8, num_events=600,\n"
-            "    acquire_prob=0.35, max_nesting=3, seed=2))\n"
-            "res = spd_offline(trace, max_size=2)\n"
-            "assert res.num_abstract_patterns >= 1\n"
-            "c = kernels.counters()\n"
-            "assert c.get('kernels.index_extend.numpy')\n"
-            "assert c.get('kernels.alg_edges.numpy')\n"
-            "print('numpy.ma' in sys.modules)\n"
-        )
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+            backend = kernels.backend()
+            trace = generate_random_trace(RandomTraceConfig(
+                num_threads=6, num_locks=8, num_vars=8, num_events=600,
+                acquire_prob=0.35, max_nesting=3, seed=2))
+            res = spd_offline(trace, max_size=2)
+            print(json.dumps({
+                "backend": backend, "numpy": "numpy" in sys.modules,
+                "patterns": res.num_abstract_patterns,
+                "numpy_dispatch": [k for k in kernels.counters()
+                                   if k.endswith(".numpy")],
+                "numpy_ma": "numpy.ma" in sys.modules}))
+        """, env={"REPRO_KERNELS": "numpy"})
+        assert out["backend"] == "numpy"
+        assert out["numpy"] is True
+        assert out["patterns"] >= 1
+        assert out["numpy_dispatch"] == []
+        assert out["numpy_ma"] is False
 
 
 # -- forced fallback: numpy absent or broken ---------------------------------
@@ -340,7 +311,6 @@ class TestNumpyAbsent:
     def test_auto_resolves_to_python(self, no_numpy):
         with kernels.use("auto"):
             assert kernels.backend() == "python"
-            assert kernels.numpy_or_none() is None
 
     def test_explicit_numpy_request_raises(self, no_numpy):
         with kernels.use("numpy"):
@@ -363,9 +333,6 @@ class TestNumpyAbsent:
         assert out.values() == (9, 18, 0, 1)
 
     def test_auto_fallback_matches_forced_python(self, no_numpy):
-        # auto-without-numpy goes through every dispatch site with
-        # numpy_or_none() == None; forced python short-circuits before
-        # the probe.  Both must land on the identical canonical result.
         trace = load_trace(os.path.join(CORPUS, "transfer.std"))
         with kernels.use("auto"):
             fell_back = offline_sig(trace)
@@ -374,31 +341,16 @@ class TestNumpyAbsent:
 
 
 def wide_trace():
-    """16 threads x 8 locks, ~1.5k events: past every numpy size floor
-    (index batch, ALG nodes)."""
+    """16 threads x 8 locks, 1.5k events: past the size floors of the
+    deleted index and ALG kernels (256 events, 48 abstract acquires)."""
     return generate_random_trace(RandomTraceConfig(
         num_threads=16, num_locks=8, num_vars=10, num_events=1500,
         max_nesting=3, acquire_prob=0.35, release_prob=0.3, seed=11))
 
 
 class TestNumpyBroken:
-    """numpy installed but failing to import: ``auto`` reads numpy until
-    the first dispatch past a size floor tries the import, and python
-    from then on; every result equals forced python."""
-
-    def test_backend_turns_python_at_the_first_dispatch(self, broken_numpy):
-        comp = compile_trace(wide_trace())
-        assert len(comp) >= 256
-        before = kernels.counters()
-        with kernels.use("auto"):
-            assert kernels.backend() == "numpy"
-            TraceIndex(comp)
-            assert kernels.backend() == "python"
-            assert kernels.numpy_or_none() is None
-        after = kernels.counters()
-        key = "kernels.index_extend."
-        assert after.get(key + "python", 0) > before.get(key + "python", 0)
-        assert after.get(key + "numpy", 0) == before.get(key + "numpy", 0)
+    """numpy installed but failing to import: ``auto`` never tries the
+    import, and every result equals forced python's."""
 
     @pytest.mark.parametrize("sig", ["offline", "online", "fasttrack",
                                      "index"])
@@ -440,8 +392,8 @@ def fresh_json(body, env=None):
 
 @needs_numpy
 class TestLazyNumpyImport:
-    """Under ``auto`` numpy is imported at the first dispatch whose size
-    floor says the numpy path runs, not when the backend resolves."""
+    """Resolving ``auto`` only looks numpy up, and no analysis path
+    imports it; only an explicit ``numpy`` request does."""
 
     def test_resolving_auto_leaves_numpy_unloaded(self):
         out = fresh_json("""
@@ -543,31 +495,6 @@ class TestLazyNumpyImport:
         assert out["same"] is True
         assert all(n > 0 for n in out["found"])
 
-    def test_offline_loads_numpy_for_its_index(self):
-        out = fresh_json("""
-            import json, sys
-            import repro.kernels as kernels
-            from repro.core.spd_offline import spd_offline
-            from repro.synth.random_traces import (
-                RandomTraceConfig, generate_random_trace)
-            from repro.trace.compiled import compile_trace
-
-            comp = compile_trace(generate_random_trace(RandomTraceConfig(
-                num_threads=6, num_locks=8, num_vars=8, num_events=600,
-                acquire_prob=0.35, max_nesting=3, seed=2)))
-            before = "numpy" in sys.modules
-            spd_offline(comp, max_size=2)
-            print(json.dumps({
-                "events": len(comp), "before": before,
-                "after": "numpy" in sys.modules,
-                "index_numpy": kernels.counters().get(
-                    "kernels.index_extend.numpy", 0)}))
-        """)
-        assert out["events"] >= 256
-        assert out["before"] is False
-        assert out["after"] is True
-        assert out["index_numpy"] >= 1
-
     def test_explicit_numpy_request_imports_at_resolution(self):
         out = fresh_json("""
             import json, sys
@@ -577,6 +504,90 @@ class TestLazyNumpyImport:
             print(json.dumps([before, backend, "numpy" in sys.modules]))
         """, env={"REPRO_KERNELS": "numpy"})
         assert out == [False, "numpy", True]
+
+
+class TestNoNumpyInAnalysis:
+    def test_analysis_processes_leave_numpy_unloaded(self, tmp_path):
+        """Fresh interpreter: ``spd_offline`` at ``max_size`` None and 2
+        on a trace past the deleted kernels' size floors, a
+        ``ProcessPoolRunner(jobs=2)`` campaign over it and ``repro
+        analyze`` leave numpy out of the parent and out of every cell.
+        With numpy selected the library paths still leave it unloaded;
+        only ``repro analyze`` imports it, resolving the request at
+        startup.  Unbounded cycle enumeration is exponential on this
+        trace, so runs at ``max_size`` None cap ``max_cycles``."""
+        from repro.trace import format_trace
+
+        path = tmp_path / "wide.std"
+        path.write_text(format_trace(wide_trace()))
+        side = tmp_path / "cells"
+        side.mkdir()
+        body = f"""
+            import contextlib, io, json, os, sys
+            import repro.exp.runner as runner
+            import repro.kernels as kernels
+            from repro.cli import main
+            from repro.core.spd_offline import spd_offline
+            from repro.exp.campaign import Campaign, DetectorSpec, TraceSource
+            from repro.locks.abstract import collect_abstract_acquire_ids
+            from repro.trace import load_compiled_trace, as_trace
+
+            path, side = {str(path)!r}, {str(side)!r}
+            loaded = {{}}
+            comp = load_compiled_trace(path)
+            sizes = [len(comp),
+                     len(collect_abstract_acquire_ids(as_trace(comp)))]
+            found = [spd_offline(comp, max_size=2).num_abstract_patterns,
+                     spd_offline(comp, max_cycles=500).num_cycles]
+            loaded["spd_offline"] = "numpy" in sys.modules
+
+            plain = runner.run_cell
+
+            def watched(task):
+                res = plain(task)
+                with open(os.path.join(side, f"{{task.index}}.json"), "w") as fh:
+                    json.dump("numpy" in sys.modules, fh)
+                return res
+
+            runner.run_cell = watched
+            run = runner.ProcessPoolRunner(jobs=2).run(Campaign(
+                name="no-numpy",
+                traces=[TraceSource(kind="file", name="wide", path=path)],
+                detectors=[
+                    DetectorSpec(name="spd_offline", id="size2",
+                                 config={{"max_size": 2}}),
+                    DetectorSpec(name="spd_offline", id="all",
+                                 config={{"max_cycles": 500}}),
+                    DetectorSpec(name="spd_online"),
+                    DetectorSpec(name="fasttrack")],
+                include_stats=False))
+            loaded["pool parent"] = "numpy" in sys.modules
+            for fn in sorted(os.listdir(side)):
+                with open(os.path.join(side, fn)) as fh:
+                    loaded["cell " + fn] = json.load(fh)
+
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                rc = main(["analyze", "--max-size", "2", path])
+            loaded["repro analyze"] = "numpy" in sys.modules
+            print(json.dumps({{
+                "backend": kernels.backend(), "sizes": sizes, "found": found,
+                "statuses": [r.status for r in run.results],
+                "analyze": [rc, "deadlock" in out.getvalue()],
+                "numpy_dispatch": [k for k in kernels.counters()
+                                   if k.endswith(".numpy")],
+                "loaded": loaded}}))
+        """
+        for backend in ("auto", "numpy") if HAVE_NUMPY else ("auto",):
+            out = fresh_json(body, env={"REPRO_KERNELS": backend})
+            assert out["sizes"][0] >= 256 and out["sizes"][1] >= 48
+            assert all(out["found"])
+            assert out["statuses"] == ["ok"] * 4
+            assert out["analyze"] == [1, True]
+            assert out["numpy_dispatch"] == []
+            loaded = out["loaded"]
+            assert len(loaded) == 2 + 1 + 4
+            assert loaded.pop("repro analyze") == (backend == "numpy")
+            assert not any(loaded.values()), (backend, loaded)
 
 
 # -- vc bulk join ------------------------------------------------------------

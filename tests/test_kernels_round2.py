@@ -1,14 +1,13 @@
-"""Round-2 kernel differential suite (`kernels/alg_np.py`, incremental
-SCC) and the detectors that run on them.
+"""Backend-selection differential for the ALG-based detectors, and the
+incremental SCC of Johnson's sweep.
 
-Same contract as :mod:`tests.test_kernels`: the pure-python paths are
-the canonical semantics and every numpy kernel must be *bit-identical*
-to them — same reports, same counts, same checkpoint round-trips, same
-pinned cycle order.  SPDOnlineK, Goodlock, UNDEAD and the naive checker
-have no kernels of their own, but under numpy they run on the index
-and ALG kernels, so their outputs are compared across backends too.
-Proven corpus-wide, over 200+ seeded random traces, and with numpy
-mocked away.
+No area dispatches to numpy any more (:mod:`repro.kernels`), so
+SPDOnlineK, Goodlock, UNDEAD and the naive checker run the same python
+code under every backend; their outputs are still compared across the
+``python`` and ``numpy`` selections, corpus-wide, over 200+ seeded
+random traces and with numpy mocked away, because cache keys ignore
+the selection.  The incremental SCC is checked against the per-start
+recomputation it replaced, cycle order included.
 
 The long fuzz loop is opt-in: ``REPRO_FUZZ_ITERS=2000 pytest -m fuzz
 tests/test_kernels_round2.py``.
@@ -266,11 +265,12 @@ class TestIncrementalSCC:
 # -- dispatch accounting ------------------------------------------------------
 
 
-#: Dispatch areas whose numpy kernels were removed: no run records them.
+#: Dispatch areas whose kernels were removed: no run records them.
 REMOVED_AREAS = ("kernels.fasttrack_runs.", "kernels.spdk.",
                  "kernels.goodlock.", "kernels.naive.",
                  "kernels.online_closure.", "kernels.online_microbatch.",
-                 "kernels.offline_check.")
+                 "kernels.offline_check.", "kernels.alg_edges.",
+                 "kernels.index_extend.")
 
 
 def assert_no_removed_areas(counters):
@@ -280,8 +280,8 @@ def assert_no_removed_areas(counters):
 
 @needs_numpy
 class TestDispatchAccounting:
-    """Bit-identity alone could pass with kernels that never engage;
-    pin that the round-2 numpy paths actually run."""
+    """Incremental SCC is the one area left, and it counts under every
+    backend; no removed area records a dispatch."""
 
     def test_round2_areas_dispatch(self):
         cfg = RandomTraceConfig(num_threads=16, num_locks=8, num_events=1500,
@@ -301,8 +301,8 @@ class TestDispatchAccounting:
         def grew(key):
             return after.get(key, 0) > before.get(key, 0)
 
-        assert grew("kernels.alg_edges.numpy")
         assert grew("kernels.johnson_scc.incremental")
+        assert not [k for k in after if k.endswith(".numpy")]
         assert_no_removed_areas(after)
 
     def test_python_backend_counts_python(self):
@@ -317,9 +317,7 @@ class TestDispatchAccounting:
         def grew(key):
             return after.get(key, 0) > before.get(key, 0)
 
-        assert grew("kernels.alg_edges.python")
         assert grew("kernels.johnson_scc.incremental")
-        assert not grew("kernels.alg_edges.numpy")
         assert_no_removed_areas(after)
 
 

@@ -563,25 +563,25 @@ class TestCLI:
 
 
 class TestKernelTelemetryComposition:
-    """obs's patch-on-enable wrappers and the numpy kernel dispatch
-    must compose: enabling telemetry never silently forces the python
-    path."""
-
-    numpy = pytest.importorskip("numpy", reason="kernel path needs numpy")
+    """obs's patch-on-enable wrappers compose with the kernel-backend
+    selector: enabling telemetry changes no report under either
+    backend, and disabling it unwinds every wrapper."""
 
     def test_enable_disable_cycle_keeps_kernel_dispatch(self):
         """Lifecycle: enabled -> disabled -> re-enabled, spd_offline
-        keeps dispatching its numpy index kernel and its reports stay
-        identical to the python oracle."""
+        under the numpy selection reports what the python run does, its
+        closure runs through the counting wrapper while enabled, and
+        after each disable the original methods are back."""
         import repro.kernels as kernels
+        from repro.core.closure import SPClosure, SPClosureEngine
         from repro.core.spd_offline import spd_offline
         from repro.synth.random_traces import (
             RandomTraceConfig,
             generate_random_trace,
         )
         from repro.trace.compiled import compile_trace
+        from repro.vc.clock import VectorClock
 
-        # 1,500 events: above the index kernel's 256-event batch floor.
         # A CompiledTrace input builds its index afresh on every run.
         trace = compile_trace(generate_random_trace(RandomTraceConfig(
             num_threads=16, num_locks=8, num_events=1500, max_nesting=3,
@@ -592,14 +592,21 @@ class TestKernelTelemetryComposition:
                 res = spd_offline(trace, max_size=2)
             return [(r.pattern.events, r.locations) for r in res.reports]
 
+        def methods():
+            return (SPClosure._advance_lock, SPClosureEngine.reset,
+                    VectorClock.join_with)
+
+        plain = methods()
         baseline = reports("python")
+        assert baseline
         for _cycle in range(2):
             obs.enable(None)
-            k0 = kernels.counters().get("kernels.index_extend.numpy", 0)
+            assert all(m is not p for m, p in zip(methods(), plain))
+            advances = obs.snapshot()["counters"].get("cs.advance", 0)
             assert reports("numpy") == baseline
-            assert kernels.counters()["kernels.index_extend.numpy"] > k0
+            assert obs.snapshot()["counters"]["cs.advance"] > advances
             obs.disable()
-        # wrappers unwound: one more run, still numpy, still identical
-        k0 = kernels.counters().get("kernels.index_extend.numpy", 0)
+            assert methods() == plain
+        # wrappers unwound: one more run, still identical
         assert reports("numpy") == baseline
-        assert kernels.counters()["kernels.index_extend.numpy"] > k0
+        assert methods() == plain

@@ -85,6 +85,17 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_trace("t1|lock(l1)\n")
 
+    @pytest.mark.parametrize("bad, message", [
+        ("|acq(l1)", "malformed event"),       # a known tail, no thread
+        ("t1|acq(l1)x", "malformed event"),    # a known thread, junk tail
+        ("t1|acq( )", "empty target"),
+    ])
+    def test_repeated_parts_keep_their_errors(self, bad, message):
+        with pytest.raises(ParseError) as exc:
+            parse_trace(f"t1|acq(l1)\nt2|acq(l1)|A.java:3\n{bad}\n")
+        assert (exc.value.lineno, exc.value.line) == (3, bad)
+        assert message in str(exc.value)
+
 
 class TestRoundTrip:
     def test_format_then_parse(self):
@@ -143,7 +154,20 @@ def _std_line(draw):
 
 @st.composite
 def _std_text(draw):
-    lines = draw(st.lists(_std_line(), max_size=12))
+    # Lines come from a small pool, with repetition, so the parser's
+    # head and tail memos hit.  A picked line may lose its thread or
+    # gain junk at its end: a malformed line that shares its tail or
+    # its thread with an earlier valid one.
+    pool = draw(st.lists(_std_line(), min_size=1, max_size=5))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 7)),
+                          max_size=12))
+    lines = []
+    for line, variant in picks:
+        if variant == 6:
+            line = "|" + line.partition("|")[2]
+        elif variant == 7:
+            line = line.rstrip() + "x"
+        lines.append(line)
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
                          min_size=len(lines), max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, ends))
@@ -159,6 +183,21 @@ def _outcome(parse):
         return [(e.thread, e.op, e.target, e.loc) for e in parse()]
     except ParseError as exc:
         return ("ParseError", exc.lineno, exc.line, str(exc))
+
+
+_KIND = {"acq": "lock", "rel": "lock", "req": "lock", "fork": "thread",
+         "join": "thread", "r": "var", "w": "var"}
+
+
+def _intern_order(events):
+    """The intern tables of a one-pass parse of ``events``: each event
+    interns its thread, then its target in its op's table."""
+    tables = {"thread": [], "lock": [], "var": []}
+    for thread, op, target, _ in events:
+        for kind, name in (("thread", thread), (_KIND[op], target)):
+            if name not in tables[kind]:
+                tables[kind].append(name)
+    return tables
 
 
 def _stream_events(path):
@@ -185,6 +224,11 @@ class TestOracleDifferential:
                 for load in (load_trace, load_compiled_trace, _stream_events):
                     got = _outcome(lambda: load(path))
                     assert got == expected, (load.__name__, path)
+            if isinstance(expected, list):
+                comp = load_compiled_trace(plain)
+                assert {"thread": comp.threads_tab.names,
+                        "lock": comp.locks_tab.names,
+                        "var": comp.vars_tab.names} == _intern_order(expected)
 
 
 class TestLineEnds:

@@ -71,8 +71,7 @@ def new_modules(before):
 
 def warm_prelude(tmp_path) -> str:
     """``WARM_CAMPAIGN`` over a 1.5k-event, 4-thread × 6-lock trace
-    file, big enough that the index and ALG dispatch to numpy under the
-    numpy backend."""
+    file, past the size floors of the deleted index and ALG kernels."""
     from repro.synth.random_traces import RandomTraceConfig, generate_random_trace
     from repro.trace import format_trace
 
@@ -87,9 +86,8 @@ def warm_prelude(tmp_path) -> str:
 class TestWarmParent:
     def test_pool_preloads_each_detector_closure(self, tmp_path):
         """No forked cell imports a ``repro`` or ``numpy`` module its
-        worker lacked, numpy-dispatching cells included, and the pool
-        parent holds numpy exactly when the kernel backend resolves to
-        it."""
+        worker lacked, no cell dispatches to numpy, and neither the pool
+        parent nor any cell holds numpy."""
         side = tmp_path / "cells"
         side.mkdir()
         out = run_script(f"""
@@ -103,7 +101,8 @@ class TestWarmParent:
                 res = plain(task)
                 with open(os.path.join(side, f"{{task.index}}.json"), "w") as fh:
                     json.dump({{"imports": new_modules(before),
-                               "numpy_calls": numpy_calls() - calls}}, fh)
+                               "numpy_calls": numpy_calls() - calls,
+                               "numpy": "numpy" in sys.modules}}, fh)
                 return res
 
             runner.run_cell = watched
@@ -115,24 +114,23 @@ class TestWarmParent:
             print(json.dumps({{
                 "statuses": [r.status for r in run.results],
                 "parent_numpy": "numpy" in sys.modules,
-                "numpy_backend": kernels.backend() == "numpy",
                 "detectors": len(detector_names()),
                 "cells": cells,
             }}))
         """, prelude=warm_prelude(tmp_path))
         n = 2 * out["detectors"] + 3
         assert out["statuses"] == ["ok"] * n
-        assert out["parent_numpy"] == out["numpy_backend"]
+        assert out["parent_numpy"] is False
         assert len(out["cells"]) == n
         assert [c["imports"] for c in out["cells"]] == [[]] * n
-        assert (any(c["numpy_calls"] for c in out["cells"])
-                == out["numpy_backend"])
+        assert [c for c in out["cells"] if c["numpy_calls"] or c["numpy"]] == []
 
     def test_inline_clock_starts_after_the_imports(self, tmp_path):
         """A cell's clock starts only once every module its detector
         needs is loaded: no adapter call under ``InlineRunner`` imports
         a ``repro`` or ``numpy`` module, the first call of each
-        detector and numpy-dispatching calls included."""
+        detector included, none dispatches to numpy and the process
+        never holds numpy."""
         out = run_script("""
             import functools
             import repro.exp.detectors as detectors
@@ -158,7 +156,7 @@ class TestWarmParent:
             run = InlineRunner().run(campaign)
             print(json.dumps({
                 "statuses": [r.status for r in run.results],
-                "numpy_backend": kernels.backend() == "numpy",
+                "numpy": "numpy" in sys.modules,
                 "detectors": len(detector_names()),
                 "calls": calls,
             }))
@@ -166,13 +164,12 @@ class TestWarmParent:
         n = 2 * out["detectors"] + 3
         assert out["statuses"] == ["ok"] * n
         assert len(out["calls"]) == n
-        assert [c for c in out["calls"] if c[1]] == []
-        assert any(c[2] for c in out["calls"]) == out["numpy_backend"]
+        assert [c for c in out["calls"] if c[1] or c[2]] == []
+        assert out["numpy"] is False
 
     def test_importing_exp_leaves_numpy_unloaded(self):
         """The registry imports every detector, and none of them imports
-        numpy at module level: a process that never dispatches to a
-        numpy kernel never loads it."""
+        numpy."""
         out = run_script("""
             import repro.exp  # noqa: F401
             print(json.dumps({"numpy": "numpy" in sys.modules}))

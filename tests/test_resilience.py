@@ -24,7 +24,7 @@ from repro.exp.resilience import (
     locate_journal,
 )
 from repro.exp.report import render_markdown, run_to_json
-from repro.exp.runner import CellResult, InlineRunner, ProcessPoolRunner
+from repro.exp.runner import InlineRunner, ProcessPoolRunner
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -456,8 +456,25 @@ class TestTraceIngestion:
         with pytest.raises(TraceReadError) as exc:
             load_compiled_trace(dst)
         assert exc.value.path == dst
-        assert exc.value.byte_offset is not None
-        assert exc.value.events_parsed is not None
+        # the file is far below one read chunk: the first read fails
+        assert exc.value.byte_offset == 0
+        assert exc.value.events_parsed == 0
+
+    def test_truncated_gz_counts_the_events_before_the_cut(self, tmp_path):
+        """A cut past the first read chunk: every line that ends before
+        the byte offset reached has parsed, and no other."""
+        from repro.trace.compiled import TraceReadError, load_compiled_trace
+
+        data = b"t1|acq(l1)\nt2|w(x)|A.java:7\nt1|rel(l1)\n" * 60_000
+        dst = str(tmp_path / "long.std.gz")
+        with gzip.open(dst, "wb") as out:
+            out.write(data)
+        faults.truncate_file(dst, keep=os.path.getsize(dst) * 3 // 4)
+        with pytest.raises(TraceReadError) as exc:
+            load_compiled_trace(dst)
+        offset = exc.value.byte_offset
+        assert 0 < offset < len(data)
+        assert exc.value.events_parsed == data[:offset].count(b"\n")
 
     def test_bitflipped_gz_is_a_typed_error(self, tmp_path):
         from repro.trace.compiled import TraceReadError, load_compiled_trace
