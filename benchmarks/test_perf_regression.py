@@ -5,8 +5,8 @@ campaign* (:mod:`repro.exp`): the workloads are ``random`` trace
 sources, the detectors are registry cells, and the numbers come out of
 the same :class:`~repro.exp.runner.CellResult` records a ``repro bench
 run`` produces.  The serial :class:`~repro.exp.runner.InlineRunner`
-executes them in-process with timeout enforcement off, so the timings
-measure the detectors and nothing else.
+executes them in-process; the campaigns set no timeout, so no alarm is
+armed and the timings measure the detectors and nothing else.
 
 Asserts SPDOnline has not regressed below the PR-1 acceptance bar
 (3x the recorded pre-optimization seed throughput) and writes the
@@ -110,7 +110,7 @@ def _campaign() -> Campaign:
 def _measure():
     # No cache (cached timings would be stale) and no SIGALRM (an
     # interval timer would perturb the measurement).
-    run = InlineRunner(enforce_timeouts=False).run(_campaign())
+    run = InlineRunner().run(_campaign())
     cells = {(r.trace_name, r.detector_name): r for r in run.results}
     for cell in cells.values():
         assert cell.status == "ok", (cell.detector_name, cell.error)
@@ -280,7 +280,7 @@ def _offline_campaign() -> Campaign:
 
 
 def _offline_eps() -> tuple:
-    run = InlineRunner(enforce_timeouts=False).run(_offline_campaign())
+    run = InlineRunner().run(_offline_campaign())
     cell = run.results[0]
     assert cell.status == "ok", cell.error
     return cell.num_events / cell.elapsed, cell.output["deadlocks"]

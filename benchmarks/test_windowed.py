@@ -8,7 +8,7 @@ documented misses when they are not.
 import pytest
 
 from repro.core.spd_offline import spd_offline
-from repro.core.windowed import spd_offline_windowed
+from repro.stream.windowed import spd_offline_windowed
 from repro.synth.suite import SUITE_BY_NAME, build_benchmark
 
 

@@ -33,8 +33,11 @@ echo "   prefix-closure walk against Algorithm 2's plain walk; and the"
 echo "   prefix-seeding differential: tests/test_prefix_seed.py,"
 echo "   SPDOnline/SPDOnlineK contexts started from per-thread prefix"
 echo "   closures against fresh closures, fed by step(), run() and"
-echo "   checkpoint/restore cuts; every kernel backend runs the same python"
-echo "   code, so one run covers them all) =="
+echo "   checkpoint/restore cuts; the mixed-source differential:"
+echo "   tests/test_mixed_feed.py, SPDOnline/SPDOnlineK/FastTrack fed by a"
+echo "   session, step() and a second compiled trace at once against every"
+echo "   event stepped into one detector; every kernel backend runs the"
+echo "   same python code, so one run covers them all) =="
 python -m pytest -x -q
 
 echo "== runner leak check (dev mode: a file left unclosed, such as a cell's"
@@ -100,7 +103,8 @@ case "${REPRO_FUZZ_ITERS:-0}" in
     0)
         : ;;
     *)
-        echo "== streaming + prefix-walk + prefix-seed fuzz loops + seeded detector fault sweeps (REPRO_FUZZ_ITERS=${REPRO_FUZZ_ITERS}) =="
+        echo "== streaming + prefix-walk + prefix-seed + mixed-feed fuzz loops + seeded detector fault sweeps (REPRO_FUZZ_ITERS=${REPRO_FUZZ_ITERS}) =="
         python -m pytest -q -m fuzz tests/test_stream.py tests/test_chaos.py \
-            tests/test_prefix_walk.py tests/test_prefix_seed.py ;;
+            tests/test_prefix_walk.py tests/test_prefix_seed.py \
+            tests/test_mixed_feed.py ;;
 esac

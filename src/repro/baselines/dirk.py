@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.patterns import DeadlockPattern, DeadlockReport
-from repro.core.windowed import window_slice
+from repro.stream.windowed import window_slice
 from repro.trace.events import (
     OP_ACQUIRE,
     OP_JOIN,
@@ -87,7 +87,7 @@ def dirk(
             break
         result.windows += 1
         hi = min(lo + window, len(trace))
-        sub, back = window_slice(trace, lo, hi)
+        sub, back = window_slice(trace.compiled, trace.index.match, lo, hi)
         deadline = None if timeout is None else start + timeout
         for pattern in _window_patterns(sub, faithful_unsound):
             if timeout is not None and time.perf_counter() - start > timeout:

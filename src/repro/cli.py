@@ -137,7 +137,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return _print_windowed(args, args.trace, result)
     trace = load_trace(args.trace)
     if args.window is not None:
-        from repro.core.windowed import spd_offline_windowed
+        from repro.stream.windowed import spd_offline_windowed
 
         result = spd_offline_windowed(
             trace, window=args.window, overlap=args.overlap,

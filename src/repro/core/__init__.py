@@ -29,7 +29,6 @@ from repro.core.closure import SPClosureEngine, sp_closure, sp_closure_events
 from repro.core.spd_offline import SPDOfflineResult, check_abstract_pattern, spd_offline
 from repro.core.spd_online import SPDOnline, spd_online
 from repro.core.races import RaceReport, SPRaceResult, is_sp_race, sp_races
-from repro.core.windowed import WindowedResult, spd_offline_windowed
 from repro.core.spd_online_k import OnlineKReport, SPDOnlineK, spd_online_k
 
 __all__ = [
@@ -53,8 +52,6 @@ __all__ = [
     "SPRaceResult",
     "is_sp_race",
     "sp_races",
-    "WindowedResult",
-    "spd_offline_windowed",
     "OnlineKReport",
     "SPDOnlineK",
     "spd_online_k",

@@ -26,10 +26,13 @@ to produce a deadlock are discarded forever (Corollary 4.5).
 
 Representation (the performance model):
 
-- threads, locks, and variables are interned to dense ints on entry;
-  every per-thread/per-lock map is a list indexed by id, and a
-  :class:`~repro.trace.compiled.CompiledTrace` streams straight through
-  without touching strings;
+- threads, locks, and variables are dense ints in the detector's own
+  names (:class:`~repro.trace.compiled.DetectorFeed`): ``step()``
+  interns a string event into them, and a session's or a
+  :class:`~repro.trace.compiled.CompiledTrace`'s columns stream
+  straight through without touching strings, their ids translated
+  only where the source named things in another order; every
+  per-thread/per-variable map is a list indexed by id;
 - acquire/release/last-write timestamps are *canonical snapshots*, so
   every ``⊑`` test in the hot path is an O(1) epoch comparison
   (see :mod:`repro.vc.clock`); snapshots are copy-on-write, so a thread
@@ -90,7 +93,7 @@ import repro.obs as obs
 from repro.core.closure import SPClosure
 from repro.core.patterns import DeadlockPattern, DeadlockReport
 from repro.locks.history import CSHistories, CSRecord
-from repro.trace.compiled import CompiledTrace, InterningDetectorMixin
+from repro.trace.compiled import CompiledTrace, DetectorFeed, compile_trace
 from repro.trace.events import (
     OP_ACQUIRE,
     OP_FORK,
@@ -101,7 +104,7 @@ from repro.trace.events import (
     Event,
 )
 from repro.trace.trace import Trace
-from repro.vc.clock import ThreadUniverse, VectorClock
+from repro.vc.clock import VectorClock
 
 
 class _AcqEntry:
@@ -142,7 +145,7 @@ class OnlineReport:
         return tuple(sorted(self.locations))
 
 
-class SPDOnline(InterningDetectorMixin):
+class SPDOnline(DetectorFeed):
     """Streaming detector; feed events with :meth:`step`.
 
     Example::
@@ -172,14 +175,8 @@ class SPDOnline(InterningDetectorMixin):
     def __init__(self, max_memory_events: Optional[int] = None) -> None:
         if max_memory_events is not None and max_memory_events < 1:
             raise ValueError("max_memory_events must be >= 1")
-        self.universe = ThreadUniverse()
-        # Intern tables (thread id == universe slot).
-        self._tid: Dict[str, int] = {}
-        self._thread_names: List[str] = []
-        self._lid: Dict[str, int] = {}
-        self._lock_names: List[str] = []
-        self._vid: Dict[str, int] = {}
-        # Dense per-id state.
+        super().__init__()
+        # Dense per-id state, sized to the names by _grow().
         self._clocks: List[VectorClock] = []
         self._held: List[List[int]] = []
         self._last_write: List[Optional[Tuple[int, int, VectorClock]]] = []
@@ -245,33 +242,20 @@ class SPDOnline(InterningDetectorMixin):
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _add_thread(self, thread: str) -> int:
-        tid = len(self._thread_names)
-        self._tid[thread] = tid
-        self._thread_names.append(thread)
-        self.universe.slot(thread)
-        self._clocks.append(VectorClock(0))
-        self._held.append([])
-        return tid
-
-    def _add_lock(self, lock: str) -> int:
-        lid = len(self._lock_names)
-        self._lid[lock] = lid
-        self._lock_names.append(lock)
-        return lid
-
-    def _add_var(self, var: str) -> int:
-        vid = len(self._last_write)
-        self._vid[var] = vid
-        self._last_write.append(None)
-        return vid
+    def _grow(self) -> None:
+        names = self.names
+        for _ in range(len(self._clocks), len(names.threads_tab)):
+            self._clocks.append(VectorClock(0))
+            self._held.append([])
+        self._last_write.extend(
+            [None] * (len(names.vars_tab) - len(self._last_write)))
 
     # -- event handlers (Algorithm 4) ---------------------------------------
 
     def step(self, event: Event) -> List[OnlineReport]:
         """Process one event; return the reports it triggered."""
         before = len(self.reports)
-        op, tid, target_id = self._intern_event(event)
+        op, tid, target_id = self._intern(event)
         self._step_coded(op, tid, target_id, event.loc)
         return self.reports[before:]
 
@@ -405,8 +389,8 @@ class SPDOnline(InterningDetectorMixin):
             # Epoch test: old's acquire timestamp ⊑ closure clock?
             if old.ts_val > t_clock.component(old.tid):
                 u, l2, t, lock = ctx
-                names = self._thread_names
-                lock_names = self._lock_names
+                names = self.names.threads_tab.names
+                lock_names = self.names.locks_tab.names
                 self.reports.append(
                     OnlineReport(
                         first_event=old.idx,
@@ -472,16 +456,16 @@ class SPDOnline(InterningDetectorMixin):
     def checkpoint(self) -> bytes:
         """Serialize the complete detector state.
 
-        The blob captures clocks, histories, queues, closures, and
-        reports — restoring and feeding the remainder of a stream
+        The blob captures names, clocks, histories, queues, closures,
+        and reports — restoring and feeding the remainder of a stream
         yields exactly the reports of an uninterrupted run.  Only the
-        session-table identity link is dropped (a restored detector
-        re-interns event names on its next feed).
+        id maps of the last source fed are dropped: a restored detector
+        rebuilds them from its names on its next feed.
         """
         import pickle
 
         state = dict(self.__dict__)
-        state.pop("_synced_tabs", None)
+        del state["_maps"]
         # Closures, the context and the prefix ones, serialize as their
         # canonical clock (a plain int list), and the history pickles
         # its canonical records only (its columns and indexes are
@@ -520,8 +504,14 @@ class SPDOnline(InterningDetectorMixin):
                 "history in flat fields, not a CSHistories; re-feed the "
                 "stream instead"
             )
+        if not isinstance(state.get("names"), CompiledTrace):
+            raise ValueError(
+                f"stale {kind} checkpoint: it keeps its names in per-kind "
+                "dicts, not a CompiledTrace; re-feed the stream instead"
+            )
         out = cls.__new__(cls)
         out.__dict__.update(state)
+        out._maps = None
         # Closures checkpoint as canonical clocks; rebuild them.
         closures = {}
         for ctx, values in out._closures.items():
@@ -572,20 +562,14 @@ class SPDOnline(InterningDetectorMixin):
 
     # -- batch driver ---------------------------------------------------------
 
-    def _fresh(self) -> bool:
-        return not (self._events_seen or self._thread_names)
-
     def run(self, trace) -> "SPDOnlineResult":
-        """Stream a whole trace; accepts :class:`Trace` (string events)
-        or :class:`~repro.trace.compiled.CompiledTrace` (interned fast
-        path).  Both route through :meth:`feed_batch` — the same code
-        path a live :class:`repro.stream.StreamSession` drives."""
+        """Stream a whole trace (:class:`Trace`, ``CompiledTrace`` or an
+        event iterable) through :meth:`feed_batch`, the code path a live
+        :class:`repro.stream.StreamSession` drives; a ``Trace`` is fed
+        its columns and builds no ``Event``."""
         start = time.perf_counter()
-        if isinstance(trace, CompiledTrace):
-            self.feed_batch(trace, 0, len(trace))
-        else:
-            for ev in trace:
-                self.step(ev)
+        compiled = compile_trace(trace)
+        self.feed_batch(compiled, 0, len(compiled))
         elapsed = time.perf_counter() - start
         return SPDOnlineResult(
             reports=list(self.reports), elapsed=elapsed, stats=self.stats()
@@ -640,7 +624,7 @@ def spd_online(trace) -> SPDOnlineResult:
 def _obs_install():
     orig_prefix = SPDOnline._prefix_closure
     orig_context = SPDOnline._context_closure
-    orig_feed = SPDOnline.feed_batch   # the mixin's: SPDOnline has none
+    orig_feed = SPDOnline.feed_batch   # DetectorFeed's: SPDOnline has none
 
     def _prefix_closure(self, tid, c_pred):
         obs.count("online.prefix")

@@ -278,9 +278,9 @@ class SPDOnlineK(SPDOnline):
 
     def _named_signature(self, sig: Signature) -> NamedSignature:
         tid, lid, held = sig
-        lock_names = self._lock_names
+        lock_names = self.names.locks_tab.names
         return (
-            self._thread_names[tid],
+            self.names.threads_tab.names[tid],
             lock_names[lid],
             frozenset(lock_names[h] for h in held),
         )

@@ -16,9 +16,7 @@ runner reserves ``status="error"`` for genuine crashes.
 
 The detector modules are imported at the top of this module, so
 importing the registry loads every detector: a pool parent that
-imports it forks workers whose cells import nothing.  That includes
-:mod:`repro.stream.windowed`, which ``spd_offline_windowed`` imports
-only when called (the two modules import each other).
+imports it forks workers whose cells import nothing.
 
 ``_sleep`` and ``_crash`` are debug detectors used by the test suite
 to exercise the runner's timeout and crash isolation; they are
@@ -32,7 +30,6 @@ import time
 from typing import Callable, Dict, List
 
 import repro.obs as obs
-import repro.stream.windowed  # noqa: F401  (see the module docstring)
 from repro.baselines.dirk import dirk
 from repro.baselines.goodlock import goodlock
 from repro.baselines.naive import naive_sp_detector
@@ -42,8 +39,8 @@ from repro.core.races import sp_races
 from repro.core.spd_offline import spd_offline
 from repro.core.spd_online import spd_online
 from repro.core.spd_online_k import spd_online_k
-from repro.core.windowed import spd_offline_windowed
 from repro.hb.fasttrack import fasttrack_races
+from repro.stream.windowed import spd_offline_windowed
 from repro.trace.stats import compute_stats
 
 Adapter = Callable[[object, dict], dict]

@@ -530,21 +530,12 @@ class InlineRunner(_BaseRunner):
     Timeouts use ``SIGALRM`` and therefore require the main thread of a
     Unix process; anywhere else a one-time warning is emitted, the cell
     simply runs to completion, and the result records
-    ``timeout_enforced: false`` so reports can flag it (pass
-    ``enforce_timeouts=False`` to make the opt-out explicit, e.g. for
-    perf measurements where an alarm would perturb timings).
+    ``timeout_enforced: false`` so reports can flag it.  A cell without
+    a timeout arms no alarm.
     """
 
     #: process-wide: the unenforced-timeout warning fires once, not per cell.
     _warned_unenforced = False
-
-    def __init__(self, enforce_timeouts: bool = True) -> None:
-        self.enforce_timeouts = enforce_timeouts
-
-    def _can_alarm(self) -> bool:
-        return (self.enforce_timeouts
-                and hasattr(signal, "SIGALRM")
-                and threading.current_thread() is threading.main_thread())
 
     def _run_one(self, task: CellTask) -> CellResult:
         # non-positive timeouts mean "no timeout" in BOTH runners
@@ -552,7 +543,7 @@ class InlineRunner(_BaseRunner):
         # CellTasks, where setitimer(0) would silently disarm here
         # while the pool runner would kill the worker immediately)
         wants_timeout = task.timeout is not None and task.timeout > 0
-        if wants_timeout and self._can_alarm():
+        if wants_timeout and hasattr(signal, "SIGALRM") and _can_trap_signals():
             def _on_alarm(signum, frame):
                 raise _CellTimeout()
 
@@ -573,7 +564,7 @@ class InlineRunner(_BaseRunner):
                 res = _timeout_result(task)
             return res
         res = run_cell(task)
-        if wants_timeout and self.enforce_timeouts:
+        if wants_timeout:
             # A timeout was requested but could not be enforced (no
             # SIGALRM / not the main thread): say so once, and mark the
             # result so downstream reports can flag it.

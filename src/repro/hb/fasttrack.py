@@ -16,11 +16,15 @@ Faithful to the published state machine:
   (SHARED state) and deflation on exclusive writes;
 - locks, fork/join: standard HB clock maintenance.
 
-Threads, locks, and variables are interned to dense ints on entry
-(:class:`~repro.trace.compiled.CompiledTrace` streams through
-pre-interned), lock-release clocks carry their epoch so ordered
-re-acquires skip the O(T) join, and the :class:`Epoch` type itself now
-lives in :mod:`repro.vc.clock`, shared with the deadlock engines.
+Threads, locks, and variables are dense ints in the detector's own
+names (:class:`~repro.trace.compiled.DetectorFeed`, the event path it
+shares with SPDOnline): ``step()`` interns a string event, and a
+session's or a :class:`~repro.trace.compiled.CompiledTrace`'s columns
+stream through with their ids translated only where the source named
+things in another order.  Lock-release clocks carry their epoch so
+ordered re-acquires skip the O(T) join, and the :class:`Epoch` type
+itself lives in :mod:`repro.vc.clock`, shared with the deadlock
+engines.
 
 Equivalence with the full-VC detector on the *first race per variable*
 is tested property-style in ``tests/test_fasttrack.py``.
@@ -32,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.trace.compiled import CompiledTrace, InterningDetectorMixin
+from repro.trace.compiled import CompiledTrace, DetectorFeed, compile_trace
 from repro.trace.events import (
     OP_ACQUIRE,
     OP_FORK,
@@ -41,7 +45,7 @@ from repro.trace.events import (
     OP_RELEASE,
     OP_WRITE,
 )
-from repro.vc.clock import Epoch, ThreadUniverse, VectorClock
+from repro.vc.clock import Epoch, VectorClock
 
 __all__ = [
     "Epoch",
@@ -93,15 +97,12 @@ class FastTrackResult:
         return {r.variable for r in self.races}
 
 
-class FastTrack(InterningDetectorMixin):
+class FastTrack(DetectorFeed):
     """Streaming epoch-based HB race detector."""
 
     def __init__(self) -> None:
-        self.universe = ThreadUniverse()
-        self._tid: Dict[str, int] = {}
-        self._vid: Dict[str, int] = {}
-        self._lid: Dict[str, int] = {}
-        self._var_names: List[str] = []
+        super().__init__()
+        # Dense per-id state, sized to the names by _grow().
         self._clocks: List[VectorClock] = []
         # Threads that have performed an event or been fork targets.
         # A join of a thread never materialized this way is a no-op
@@ -114,35 +115,23 @@ class FastTrack(InterningDetectorMixin):
         self.result = FastTrackResult()
         self._reported: Set[Tuple[str, str]] = set()
 
-    # -- interning ---------------------------------------------------------
-
-    def _add_thread(self, thread: str) -> int:
-        slot = self.universe.slot(thread)
-        self._tid[thread] = slot
-        c = VectorClock(slot + 1)
-        c[slot] = 1  # epochs start at 1 so c@t ⋢ ⊥ holds
-        self._clocks.append(c)
-        self._materialized.append(False)
-        return slot
-
-    def _add_var(self, var: str) -> int:
-        vid = len(self._vars)
-        self._vid[var] = vid
-        self._var_names.append(var)
-        self._vars.append(_VarState())
-        return vid
-
-    def _add_lock(self, lock: str) -> int:
-        lid = len(self._last_release)
-        self._lid[lock] = lid
-        self._last_release.append(None)
-        return lid
+    def _grow(self) -> None:
+        names = self.names
+        for slot in range(len(self._clocks), len(names.threads_tab)):
+            c = VectorClock(slot + 1)
+            c[slot] = 1  # epochs start at 1 so c@t ⋢ ⊥ holds
+            self._clocks.append(c)
+            self._materialized.append(False)
+        self._last_release.extend(
+            [None] * (len(names.locks_tab) - len(self._last_release)))
+        for _ in range(len(self._vars), len(names.vars_tab)):
+            self._vars.append(_VarState())
 
     def _report(self, first: Optional[int], second: int, vid: int,
                 kind: str) -> None:
         if first is None:
             return
-        var = self._var_names[vid]
+        var = self.names.vars_tab.names[vid]
         key = (var, kind)
         if key in self._reported:
             return
@@ -152,7 +141,7 @@ class FastTrack(InterningDetectorMixin):
     # -- handlers (the PLDI'09 state machine) -------------------------------
 
     def step(self, event) -> None:
-        op, tid, target_id = self._intern_event(event)
+        op, tid, target_id = self._intern(event)
         self._step_coded(op, tid, target_id, event.idx)
 
     def _step_coded(self, op: int, tid: int, target_id: int, idx: int) -> None:
@@ -264,38 +253,26 @@ class FastTrack(InterningDetectorMixin):
 
     # -- batch / session drivers --------------------------------------------
 
-    def _fresh(self) -> bool:
-        return not (self._clocks or self._vars or self._last_release)
-
     def feed_batch(self, compiled: CompiledTrace, lo: int, hi: int,
                    base: int = 0) -> None:
         """Session feed (see :mod:`repro.stream`): FastTrack's coded
         step takes the *global* event index (``base + i``) instead of a
         location, so race reports name the same events a batch run
         over the full trace would."""
-        if self._sync_tables(compiled):
-            step_coded = self._step_coded
-            ops, tids, targets = compiled.columns()
-            for i in range(lo, hi):
-                # request events fall through _step_coded as no-ops,
-                # matching the string path exactly
-                step_coded(ops[i], tids[i], targets[i], base + i)
-        else:
-            intern = self._intern_event
-            step_coded = self._step_coded
-            for i in range(lo, hi):
-                op, tid, target_id = intern(compiled.event(i))
-                step_coded(op, tid, target_id, base + i)
+        ops, tids, targets = self._columns(compiled)
+        step_coded = self._step_coded
+        for i in range(lo, hi):
+            # request events fall through _step_coded as no-ops,
+            # matching step() exactly
+            step_coded(ops[i], tids[i], targets[i], base + i)
 
     def run(self, trace) -> FastTrackResult:
-        """Stream a whole trace (``Trace`` or ``CompiledTrace``) through
-        the same feed path a live session drives."""
+        """Stream a whole trace (``Trace``, ``CompiledTrace`` or an event
+        iterable) through the same feed path a live session drives; a
+        ``Trace`` is fed its columns and builds no ``Event``."""
         start = time.perf_counter()
-        if isinstance(trace, CompiledTrace):
-            self.feed_batch(trace, 0, len(trace))
-        else:
-            for ev in trace:
-                self.step(ev)
+        compiled = compile_trace(trace)
+        self.feed_batch(compiled, 0, len(compiled))
         self.result.elapsed = time.perf_counter() - start
         return self.result
 

@@ -17,7 +17,11 @@ Consumers attach through one feed protocol (duck-typed):
   appended batch as column ranges (``base`` is the global index of
   ``compiled``'s first retained event — non-zero only in bounded
   mode).  All streaming detectors (``SPDOnline``, ``SPDOnlineK``,
-  ``FastTrack``) and the windowed SPDOffline client implement it.
+  ``FastTrack``) and the windowed SPDOffline client implement it.  The
+  detectors own their names and read the session's ids through maps
+  into them (:class:`~repro.trace.compiled.DetectorFeed`), which cost
+  one O(1) check per batch while the two agree, so a detector attached
+  here may also be ``step()``ped or fed other traces.
 - ``retain_from()`` — optional; the smallest *global* event index the
   consumer may still read from the session columns, or ``None`` for
   "nothing" (pure streaming detectors keep their own state).
@@ -45,6 +49,7 @@ from typing import Iterable, List, Optional
 import repro.obs as obs
 from repro.trace.compiled import (
     CompiledTrace,
+    SourceMaps,
     TraceReadError,
     _iter_std_lines,
     parse_std_into,
@@ -175,21 +180,21 @@ class StreamSession:
         """Replay a compiled trace through the session in batches.
 
         Source ids are remapped through the session's intern tables
-        (identity when the session is fresh), so mixing replayed traces
-        with live events is well-defined.
+        (:class:`~repro.trace.compiled.SourceMaps`; identity when the
+        session is fresh), so mixing replayed traces with live events is
+        well-defined.
         """
         bs = batch_size or self.batch_size
         out = self.compiled
-        thread_map = [out.threads_tab.intern(n) for n in source.threads_tab.names]
-        lock_map = [out.locks_tab.intern(n) for n in source.locks_tab.names]
-        var_map = [out.vars_tab.intern(n) for n in source.vars_tab.names]
-        kind_map = _target_maps(thread_map, lock_map, var_map)
+        maps = SourceMaps(out, source)
+        maps.update()
+        thread_map, by_op = maps.threads, maps.by_op
         ops, tids, targs = source.columns()
         locs = source.locs
         append_coded = out.append_coded
         for i in range(len(ops)):
             op = ops[i]
-            append_coded(op, thread_map[tids[i]], kind_map[op][targs[i]],
+            append_coded(op, thread_map[tids[i]], by_op[op][targs[i]],
                          locs.get(i))
             if len(self) - self._fed >= bs:
                 self.flush()
@@ -338,20 +343,3 @@ class StreamSession:
         c.locs = {j - k: v for j, v in c.locs.items() if j >= k}
         self._match = self._match[k:]
         self.base += k
-
-
-def _target_maps(thread_map, lock_map, var_map):
-    """op code -> id-remap list, mirroring the per-kind target routing
-    of :meth:`CompiledTrace._intern_target`."""
-    from repro.trace.events import Op
-    from repro.trace.compiled import _LOCK_OPS, _THREAD_OPS
-
-    out = {}
-    for code in range(len(Op.NAMES)):
-        if code in _LOCK_OPS:
-            out[code] = lock_map
-        elif code in _THREAD_OPS:
-            out[code] = thread_map
-        else:
-            out[code] = var_map
-    return out

@@ -13,7 +13,15 @@ list of :class:`~repro.trace.events.Event` objects this:
   per-event Python objects, so hundred-million-event traces fit.
 
 Target ids are per-kind: reads/writes index the variable table,
-acquire/release/request the lock table, fork/join the thread table.
+acquire/release/request the lock table, fork/join the thread table
+(:func:`route_target`, the one place that rule is written).
+
+The streaming detectors (SPDOnline, SPDOnlineK, FastTrack) take events
+one way, through :class:`DetectorFeed`: each owns its names as a
+``CompiledTrace`` that holds no events, ``step()`` interns a string
+event into those tables, and ``feed_batch`` reads a source's columns
+through :class:`SourceMaps`, per-kind maps from the source's ids to the
+detector's that are skipped while they are the identity.
 
 :func:`load_compiled_trace` reads the RAPID "STD" text format through a
 chunked streaming reader (``.gz`` transparently inflated block by
@@ -44,6 +52,20 @@ from repro.trace.events import (
 _LOCK_OPS = (OP_ACQUIRE, OP_RELEASE, OP_REQUEST)
 #: Op codes whose target is a thread.
 _THREAD_OPS = (OP_FORK, OP_JOIN)
+
+
+def route_target(code: int, threads, locks, variables):
+    """Whichever of ``threads``, ``locks`` and ``variables`` an event of
+    op ``code`` names its target in: locks for acquire, release and
+    request, threads for fork and join, variables for reads and writes.
+
+    Intern tables, name lists and id maps all route through here.
+    """
+    if code in _LOCK_OPS:
+        return locks
+    if code in _THREAD_OPS:
+        return threads
+    return variables
 
 
 class InternTable:
@@ -106,17 +128,17 @@ class CompiledTrace:
         code = Op.CODE.get(op)
         if code is None:
             raise ValueError(f"unknown operation kind: {op!r}")
+        threads = self.threads_tab
         return self.append_coded(
-            code, self.threads_tab.intern(thread), self._intern_target(code, target),
+            code, threads.intern(thread),
+            route_target(code, threads, self.locks_tab,
+                         self.vars_tab).intern(target),
             loc,
         )
 
     def _intern_target(self, code: int, target: str) -> int:
-        if code in _LOCK_OPS:
-            return self.locks_tab.intern(target)
-        if code in _THREAD_OPS:
-            return self.threads_tab.intern(target)
-        return self.vars_tab.intern(target)
+        return route_target(code, self.threads_tab, self.locks_tab,
+                            self.vars_tab).intern(target)
 
     def append_coded(self, code: int, thread_id: int, target_id: int,
                      loc: Optional[str] = None) -> int:
@@ -142,15 +164,14 @@ class CompiledTrace:
         """The (ops, thread_ids, target_ids) parallel columns."""
         return self.ops, self.thread_ids, self.target_ids
 
+    def tables(self) -> Tuple[InternTable, InternTable, InternTable]:
+        """The (threads, locks, vars) intern tables."""
+        return self.threads_tab, self.locks_tab, self.vars_tab
+
     def target_name(self, idx: int) -> str:
         """The target string of the event at ``idx``."""
-        code = self.ops[idx]
-        tid = self.target_ids[idx]
-        if code in _LOCK_OPS:
-            return self.locks_tab.names[tid]
-        if code in _THREAD_OPS:
-            return self.threads_tab.names[tid]
-        return self.vars_tab.names[tid]
+        table = route_target(self.ops[idx], *self.tables())
+        return table.names[self.target_ids[idx]]
 
     def location_of(self, idx: int) -> str:
         """Source location for bug deduplication (falls back to index)."""
@@ -225,66 +246,111 @@ class CompiledTrace:
         )
 
 
-class InterningDetectorMixin:
-    """Shared string-event front end for int-keyed streaming detectors.
+class SourceMaps:
+    """Per-kind id maps from one source's intern tables into ``names``.
 
-    Keeps the op-kind → intern-table routing (reads/writes → variables,
-    fork/join → threads, lock ops → locks) in one place, next to
-    :meth:`CompiledTrace._intern_target` which encodes the same rule
-    for parse-time interning.  Subclasses provide the intern dicts
-    ``_tid`` / ``_vid`` / ``_lid``, the ``_add_thread`` / ``_add_var``
-    / ``_add_lock`` allocators, and ``_fresh()`` (whether a compiled
-    trace's tables may still be adopted wholesale).
+    ``threads[i]`` is the id ``names`` gives the source's thread ``i``,
+    and ``by_op[code]`` the map a target id of op ``code`` goes through
+    (:func:`route_target`).  The maps grow with the source's tables:
+    :meth:`update` interns the names the source gained since the last
+    call into ``names`` and maps them.
     """
 
-    def _intern_event(self, event: Event) -> Tuple[int, int, int]:
-        """Intern one string event; returns (op code, tid, target id)."""
-        op = Op.CODE[event.op]
-        tid = self._tid.get(event.thread)
-        if tid is None:
-            tid = self._add_thread(event.thread)
-        if op in _LOCK_OPS:
-            table, add = self._lid, self._add_lock
-        elif op in _THREAD_OPS:
-            table, add = self._tid, self._add_thread
-        else:
-            table, add = self._vid, self._add_var
-        target_id = table.get(event.target)
-        if target_id is None:
-            target_id = add(event.target)
-        return op, tid, target_id
+    __slots__ = ("names", "tables", "threads", "by_op", "identity", "_ids",
+                 "_src")
 
-    def _fresh(self) -> bool:
+    def __init__(self, names: "CompiledTrace", source: "CompiledTrace") -> None:
+        self.names = names
+        self.tables = source.tables()
+        self._src = tuple(tab.names for tab in self.tables)
+        self._ids: Tuple[List[int], List[int], List[int]] = ([], [], [])
+        self.threads = self._ids[0]
+        self.by_op = [route_target(code, *self._ids)
+                      for code in range(len(Op.NAMES))]
+        #: every map so far sends each id to itself
+        self.identity = True
+
+    def update(self) -> bool:
+        """Map the names the source interned since the last call; returns
+        whether there were any (three length checks when not)."""
+        (tn, ln, vn), (tm, lm, vm) = self._src, self._ids
+        if len(tn) == len(tm) and len(ln) == len(lm) and len(vn) == len(vm):
+            return False
+        for src, own, ids in zip(self._src, self.names.tables(), self._ids):
+            n = len(ids)
+            ids.extend([own.intern(name) for name in src[n:]])
+            if self.identity and ids[n:] != list(range(n, len(ids))):
+                self.identity = False
+        return True
+
+    def columns(self, source: "CompiledTrace"):
+        """``source``'s (ops, thread ids, target ids) columns in the ids
+        of ``names``: the columns themselves while the maps are the
+        identity, else views that map each id as it is read."""
+        ops = source.ops
+        if self.identity:
+            return ops, source.thread_ids, source.target_ids
+        return (ops,
+                _Mapped(ops, source.thread_ids, (self.threads,) * len(self.by_op)),
+                _Mapped(ops, source.target_ids, self.by_op))
+
+
+class _Mapped:
+    """An id column read through the map its event's op code selects."""
+
+    __slots__ = ("ops", "ids", "by_op")
+
+    def __init__(self, ops, ids, by_op) -> None:
+        self.ops = ops
+        self.ids = ids
+        self.by_op = by_op
+
+    def __getitem__(self, i: int) -> int:
+        return self.by_op[self.ops[i]][self.ids[i]]
+
+
+class DetectorFeed:
+    """The one event path into an int-keyed streaming detector.
+
+    A detector owns its names as :attr:`names`, a :class:`CompiledTrace`
+    that holds no events, and sizes its per-id state to those tables in
+    ``_grow()``.  ``step(event)`` interns the event's names into them
+    (:meth:`_intern`); :meth:`feed_batch` reads a source's columns
+    through :class:`SourceMaps` (:meth:`_columns`), which cost an O(1)
+    check per batch while the source's ids are the detector's own: a
+    detector fed one session or one ``run()``, or a restored one fed a
+    trace whose names come in the same order.  A detector also fed
+    other sources or ``step()`` events reads each source through maps,
+    so every event reaches it under its own names.  The maps of the
+    last source fed are kept; checkpoints drop them.
+    """
+
+    def __init__(self) -> None:
+        self.names = CompiledTrace("names")
+        self._maps: Optional[SourceMaps] = None
+
+    def _grow(self) -> None:
+        """Size the per-id state to :attr:`names`' tables."""
         raise NotImplementedError
 
-    # -- the session feed protocol (repro.stream) ---------------------------
+    def _intern(self, event: Event) -> Tuple[int, int, int]:
+        """Intern one string event; returns (op code, tid, target id)."""
+        names = self.names
+        code = Op.CODE[event.op]
+        ids = (code, names.threads_tab.intern(event.thread),
+               names._intern_target(code, event.target))
+        self._grow()
+        return ids
 
-    def _sync_tables(self, compiled: "CompiledTrace") -> bool:
-        """Track a (possibly growing) compiled trace's intern tables.
-
-        Returns True when the detector's interned ids are guaranteed to
-        equal ``compiled``'s — either because the detector adopted this
-        trace's tables while fresh, or because it has been synced with
-        the *same table objects* before and only needs to absorb the
-        names appended since.  A detector fed from any other source
-        first gets False and must fall back to string interning.
-        """
-        tabs = (compiled.threads_tab, compiled.locks_tab, compiled.vars_tab)
-        synced = getattr(self, "_synced_tabs", None)
-        if synced is None:
-            if not self._fresh():
-                return False
-            self._synced_tabs = tabs
-        elif not (synced[0] is tabs[0] and synced[1] is tabs[1]
-                  and synced[2] is tabs[2]):
-            return False
-        for name in tabs[0].names[len(self._tid):]:
-            self._add_thread(name)
-        for name in tabs[1].names[len(self._lid):]:
-            self._add_lock(name)
-        for name in tabs[2].names[len(self._vid):]:
-            self._add_var(name)
-        return True
+    def _columns(self, compiled: "CompiledTrace"):
+        """``compiled``'s columns in the detector's ids (see
+        :meth:`SourceMaps.columns`)."""
+        maps = self._maps
+        if maps is None or maps.tables != compiled.tables():
+            maps = self._maps = SourceMaps(self.names, compiled)
+        if maps.update():
+            self._grow()
+        return maps.columns(compiled)
 
     def feed_batch(self, compiled: "CompiledTrace", lo: int, hi: int,
                    base: int = 0) -> None:
@@ -294,24 +360,16 @@ class InterningDetectorMixin:
         (see :mod:`repro.stream`): ``lo``/``hi`` index ``compiled``'s
         columns directly, and ``base`` is the global index of the
         trace's first retained event (non-zero only for bounded
-        sessions that evicted a consumed prefix).  The default
-        implementation streams interned op codes through
+        sessions that evicted a consumed prefix).  This implementation
+        streams op codes and ids through
         ``_step_coded(op, tid, target_id, loc)``; detectors with a
         different coded signature override it.
         """
-        if self._sync_tables(compiled):
-            step = self._step_coded
-            ops, tids, targs = compiled.columns()
-            locs = compiled.locs
-            for i in range(lo, hi):
-                step(ops[i], tids[i], targs[i], locs.get(i))
-        else:
-            step_event = self.step
-            for i in range(lo, hi):
-                ev = compiled.event(i)
-                if base:
-                    ev = Event(base + i, ev.thread, ev.op, ev.target, ev.loc)
-                step_event(ev)
+        ops, tids, targs = self._columns(compiled)
+        locs = compiled.locs
+        step = self._step_coded
+        for i in range(lo, hi):
+            step(ops[i], tids[i], targs[i], locs.get(i))
 
 
 def compile_trace(trace_or_events, name: Optional[str] = None) -> CompiledTrace:

@@ -32,10 +32,11 @@ from repro.core.patterns import DeadlockPattern, DeadlockReport
 from repro.core.spd_offline import spd_offline
 from repro.core.spd_online import SPDOnline, spd_online
 from repro.core.spd_online_k import SPDOnlineK, spd_online_k
-from repro.core.windowed import spd_offline_windowed, window_slice
 from repro.hb.fasttrack import FastTrack, fasttrack_races
 from repro.stream import StreamSession, WindowedSessionClient
+from repro.stream.windowed import spd_offline_windowed
 from repro.synth.random_traces import RandomTraceConfig, generate_random_trace
+from repro.trace.events import OP_RELEASE
 from repro.trace.index import TraceIndex
 from repro.trace.parser import load_trace
 from repro.trace.trace import as_trace
@@ -115,10 +116,15 @@ def legacy_windowed(trace, window, overlap, max_size=None):
     reports = []
     windows = 0
     location_of = trace.compiled.location_of
+    ops = trace.compiled.ops
+    match = trace.index.match
     lo = 0
     while lo < len(trace):
         hi = min(lo + window, len(trace))
-        sub, back = window_slice(trace, lo, hi)
+        # drop releases whose acquire precedes the window
+        back = [i for i in range(lo, hi)
+                if not (ops[i] == OP_RELEASE and match[i] < lo)]
+        sub = trace.project(back)
         windows += 1
         inner = spd_offline(sub, max_size=max_size)
         for report in inner.reports:
@@ -215,8 +221,9 @@ class TestSessionDetectorEquivalence:
         assert deadlocks > 0, "vacuous sweep: no deadlock was ever found"
 
     def test_string_fallback_consumer(self):
-        """A detector that cannot adopt the session tables (it saw other
-        events first) still gets identical reports via the slow path."""
+        """A detector that saw other events before it was attached reads
+        the session's columns through its own names and reports exactly
+        what stepping every event into it reports."""
         compiled = as_trace(load_trace(CORPUS[0])).compiled
         det = SPDOnline()
         det.step(as_trace(load_trace(CORPUS[0]))[0])  # desync the tables
@@ -497,10 +504,9 @@ class TestCheckpointRestore:
         keys = {
             "_acq_seq", "_clocks", "_closures", "_ctx_cursor",
             "_deadlock_checks", "_events_seen", "_evict_period",
-            "_evictions", "_held", "_last_write", "_lid", "_lock_names",
-            "_next_evict", "_open_cs", "_pair_threads", "_prefixes",
-            "_thread_names", "_tid", "_vid", "histories",
-            "max_memory_events", "reports", "universe",
+            "_evictions", "_held", "_last_write", "_next_evict",
+            "_open_cs", "_pair_threads", "_prefixes", "histories",
+            "max_memory_events", "names", "reports",
         }
         history_keys = {"records", "log", "log_base", "evicted"}
         k_keys = keys | {"_contexts", "_pred", "_sig_entries", "_sig_index",

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.spd_offline import spd_offline
-from repro.core.windowed import spd_offline_windowed
+from repro.stream.windowed import spd_offline_windowed
 from repro.synth.paper import sigma2
 from repro.synth.suite import SUITE_BY_NAME, build_benchmark
 from repro.synth.templates import simple_deadlock_trace
