@@ -30,10 +30,12 @@ echo "   2-cycle join differential: tests/test_alg_join.py, ALG's 2-cycles"
 echo "   by a direct join against Johnson's algorithm; the prefix-walk"
 echo "   differential: tests/test_prefix_walk.py, offline phase 2's"
 echo "   prefix-closure walk against Algorithm 2's plain walk; and the"
-echo "   prefix-seeding differential: tests/test_prefix_seed.py,"
-echo "   SPDOnline/SPDOnlineK contexts started from per-thread prefix"
-echo "   closures against fresh closures, fed by step(), run() and"
-echo "   checkpoint/restore cuts; the mixed-source differential:"
+echo "   per-thread check differential: tests/test_prefix_seed.py,"
+echo "   SPDOnline/SPDOnlineK deciding each queued entry by P[new] or one"
+echo "   joint fix-point against a persistent closure per context, fed by"
+echo "   step(), run() and checkpoint/restore cuts (plus the wide-stream"
+echo "   heap ceiling in tests/test_spd_online.py); the mixed-source"
+echo "   differential:"
 echo "   tests/test_mixed_feed.py, SPDOnline/SPDOnlineK/FastTrack fed by a"
 echo "   session, step() and a second compiled trace at once against every"
 echo "   event stepped into one detector; every kernel backend runs the"
@@ -103,7 +105,7 @@ case "${REPRO_FUZZ_ITERS:-0}" in
     0)
         : ;;
     *)
-        echo "== streaming + prefix-walk + prefix-seed + mixed-feed fuzz loops + seeded detector fault sweeps (REPRO_FUZZ_ITERS=${REPRO_FUZZ_ITERS}) =="
+        echo "== streaming + prefix-walk + per-thread check (prefix-seed) + mixed-feed fuzz loops + seeded detector fault sweeps (REPRO_FUZZ_ITERS=${REPRO_FUZZ_ITERS}) =="
         python -m pytest -q -m fuzz tests/test_stream.py tests/test_chaos.py \
             tests/test_prefix_walk.py tests/test_prefix_seed.py \
             tests/test_mixed_feed.py ;;

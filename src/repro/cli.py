@@ -78,6 +78,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                   "(the batch modes are unbounded by design)",
                   file=sys.stderr)
             return 2
+    if args.max_cycles is not None and args.max_cycles < 1:
+        print("--max-cycles must be >= 1", file=sys.stderr)
+        return 2
     if args.stream:
         from repro.core.spd_online import SPDOnline
         from repro.stream import StreamSession
@@ -165,12 +168,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                       f"{r.second_event} (locations {r.locations[0]} / "
                       f"{r.locations[1]})")
         return 0 if result.num_reports == 0 else 1
-    result = spd_offline(trace, max_size=args.max_size)
+    result = spd_offline(trace, max_size=args.max_size,
+                         max_cycles=args.max_cycles)
+    capped = (args.max_cycles is not None
+              and result.num_cycles >= args.max_cycles)
     if args.json:
         print(json.dumps({
             "trace": trace.name,
             "mode": "offline",
             "cycles": result.num_cycles,
+            "max_cycles": args.max_cycles,
+            "cycles_capped": capped,
             "abstract_patterns": result.num_abstract_patterns,
             "concrete_patterns": result.num_concrete_patterns,
             "deadlocks": [
@@ -184,6 +192,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
               f"[{result.num_cycles} cycles, {result.num_abstract_patterns} "
               f"abstract patterns, {result.num_concrete_patterns} concrete] "
               f"in {result.elapsed:.3f}s")
+        if capped:
+            print(f"  cycle enumeration stopped at --max-cycles {args.max_cycles}")
         for r in result.reports:
             evs = ", ".join(f"e{i}" for i in r.pattern.events)
             print(f"  deadlock pattern <{evs}> at {' / '.join(r.locations)}")
@@ -543,6 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "memory on huge traces)")
     mode.add_argument("--window", type=_window_size, default=None, metavar="N",
                       help="bounded-memory mode: overlapping windows of N events")
+    mode.add_argument("--max-cycles", type=int, default=None, metavar="N",
+                      help="batch mode: stop enumerating lock-graph cycles "
+                           "after N")
     p_an.add_argument("--max-size", type=int, default=None, help="cap deadlock size")
     p_an.add_argument("--overlap", type=_overlap_fraction, default=0.5,
                       help="window overlap fraction in [0, 1) "

@@ -13,16 +13,17 @@ section histories (:mod:`repro.locks.history`).
 
 :class:`SPClosure` is the one engine for that fix-point.  Both
 detectors run it over the same history type: SPDOnline keeps one per
-context over the history it fills live, and SPDOffline checks each
+thread over the history it fills live, and SPDOffline checks each
 abstract pattern with a fresh one over the history
 :class:`SPClosureEngine` builds up front.  The offline check is thus an
 online closure over a history known in advance, reset per pattern.
-Both detectors also keep prefix closures, one more closure per thread
-that follows the thread's acquires in order.  The engine memoizes each
+Both detectors keep these per-thread closures as prefix closures that
+follow the thread's acquires in order.  The engine memoizes each
 acquire's ``P[e] = SPClosure(pred(e))``, from which Algorithm 2
 decides most instantiations with one epoch test
-(:mod:`repro.core.spd_offline`); SPDOnline starts each new context from
-a :meth:`SPClosure.clone` of its thread's prefix closure
+(:mod:`repro.core.spd_offline`); SPDOnline reads ``P[new]`` off its
+thread's prefix closure at each check, and computes the rare joint
+fix-point on a transient :meth:`SPClosure.clone` of it
 (:mod:`repro.core.spd_online`).
 
 Only the *per-thread last* acquire inside the closure matters: earlier
@@ -82,7 +83,7 @@ class SPClosure:
         """An independent closure over the same history, in this one's
         state: clock, cursor rows, log cursor and dirty locks are
         copied, so advancing either closure leaves the other untouched
-        (SPDOnline starts new contexts from a clone of a prefix
+        (SPDOnline's joint fix-points start from a clone of a prefix
         closure)."""
         out = SPClosure.__new__(SPClosure)
         out._hist = self._hist

@@ -8,15 +8,14 @@ raw trace.  Its state:
 - ``LW_x`` — the timestamp of the last write to each variable;
 - critical-section history: one shared
   :class:`~repro.locks.history.CSHistories` of (acquire-ts,
-  release-ts) records per (thread, lock), with *per-context* cursors —
-  the literal algorithm keeps one queue copy per context
-  ``⟨t1, l1, t2, l2⟩`` and consumes it destructively; a shared list
-  with per-context cursors is observationally identical and lighter;
-- ``AcqHist⟨u⟩_{t,l,l'}`` — FIFO queues of (pred-ts, ts) for acquires of
-  ``l`` by ``t`` holding ``l'``, one copy per opposing thread ``u``,
-  consumed by ``checkDeadlock``;
-- ``I⟨u,l',t,l⟩`` — the persistent, monotonically growing closure
-  timestamp per ordered context (Proposition 4.4 reuse).
+  release-ts) records per (thread, lock);
+- ``AcqHist⟨u⟩_{t,l,l'}`` — FIFO queues of the acquires of ``l`` by
+  ``t`` holding ``l'``, consumed by ``checkDeadlock``: one shared list
+  of history records with a cursor per ordered context
+  ``⟨u, l', t, l⟩``, observationally identical to the literal
+  per-context copies consumed destructively;
+- ``P_t`` — one *prefix closure* per thread, in place of the paper's
+  persistent closure ``I⟨u,l',t,l⟩`` per context (see below).
 
 On an acquire of ``l`` by ``t`` holding ``l'``, the handler pairs the
 new event against the queued acquires of every other thread ``u`` on
@@ -40,47 +39,43 @@ Representation (the performance model):
 - an acquire of ``l`` holding ``l'`` consults only the threads indexed
   under ``(l', l)`` — the threads that actually queued opposing
   acquires — instead of scanning every known thread;
-- each context's closure is a :class:`~repro.core.closure.SPClosure`,
-  the same Algorithm 1 engine SPDOffline checks patterns with: a
-  dirty-lock worklist (a lock is re-examined only when the closure
-  clock grew in a slot of a thread holding critical sections on it,
-  or, once eviction has trimmed histories, when its history gained
-  records, as the history's append log tells) whose cursors advance by
-  one ``bisect_right`` over each history's int column of acquire
-  values.  The records and columns live once, in the detector's
-  history; a closure keeps only an int cursor and the last-consumed
-  record per (lock, thread);
-- a new context does not start from an empty clock.  Each thread ``t``
-  keeps one more closure, its *prefix closure* ``P_t``, advanced
-  lazily: when an acquire of ``t`` opens a context, one incremental
-  compute brings ``P_t`` to the acquire's predecessor clock ``c_pred``,
-  and the context starts from a clone of ``P_t`` (its cursor rows
-  copied, not shared).  This is the online form of SPDOffline's
-  per-acquire prefix closures ``P[e]`` (:mod:`repro.core.closure`).
+- every closure is a :class:`~repro.core.closure.SPClosure`, the
+  Algorithm 1 engine SPDOffline checks patterns with, whose cursors
+  into the shared history advance by one ``bisect_right`` each;
+- closure state lives per thread.  A queued entry ``old ⊑ P[new]`` is
+  swallowed for good by one epoch test, ``P[new]`` being the online
+  form of SPDOffline's per-acquire prefix closures: ``t``'s prefix
+  closure ``P_t``, brought to the predecessor clock ``c_pred`` of the
+  guarded acquire ``new`` by one incremental compute.  Most entries lie
+  inside ``c_pred ⊑ P[new]`` already, so that compute runs only at the
+  first entry that does not, at most once per acquire.  The rest are
+  tested against one joint fix-point per (acquire, context), a
+  transient clone of ``P_t`` computed with their predecessor clocks.
+  A guarded acquire is one history record, queued under each lock it
+  holds.
 
-Why prefix seeding is exact.  A thread's clock only grows, so the
-``c_pred`` values of its acquires are ⊑-monotone, and after
-``P_t.compute(c_pred)`` the clock of ``P_t`` is ``SPClosure(c_pred)``
-over the history recorded so far (Proposition 4.4).  History appended
-later is reached only through slot growth that ``join_update``
-reports, exactly as for any persistent context closure.  A fresh
-context closure's first check computes
-``SPClosure(c_pred ⊔ old.pred_ts)``; the clone computes
-``SPClosure(SPClosure(c_pred) ⊔ old.pred_ts)``, which is the same clock
-because the closure is extensive, monotone and idempotent.  From then
-on a context's state is determined by its clock (see
-:meth:`~repro.core.closure.SPClosure.canonical_clock`), so every epoch
-test, and so every report, is the one a fresh closure makes
-(``tests/test_prefix_seed.py`` keeps the fresh closure as its oracle).
+Why the check is exact.  Algorithm 4 seeds a context's persistent
+closure, at the check of entry ``old`` against acquire ``new``, with
+``c_pred(new)`` and ``old``'s predecessor clock ``pred(old)``.  Every
+earlier seed of that context is ⊑ one of the two: ``t``'s predecessor
+clocks only grow along its acquires, and ``u``'s along the queue.  The
+closure is extensive, monotone and idempotent, and it reaches history
+appended since its last compute through the slot growth that
+``join_update`` reports (Proposition 4.4), so at each check the
+persistent closure is exactly ``SPClosure(c_pred(new) ⊔ pred(old))``.
+``P[new] = SPClosure(c_pred(new))`` lies inside it, and ``c_pred(new)``
+inside ``P[new]``, so whatever they swallow the persistent closure
+swallows too; and the joint fix-point, computed with ``pred(old)``
+after the smaller predecessor clocks of the walk's earlier entries, is
+that very clock.  So every report is the one per-context closures make
+(``tests/test_prefix_seed.py`` keeps them as its oracle).
 
-Under bounded-memory eviction every closure, prefix closures included,
-is rebased onto the trimmed history and can only grow, so every clone
-still contains the exact closure and every report stays a true
-deadlock.  Bounded reports may differ from those of fresh closures,
-though: a fresh closure folds the eviction summary of every history of
-each lock it touches, while a clone folds only the summaries its
-cursors had not passed, so its clock can stay smaller and let a report
-through that a fresh closure would have suppressed.
+Under bounded-memory eviction the prefix closures are rebased onto the
+trimmed history and only grow, so ``P[new]`` and every joint fix-point
+contain the exact closures and every report stays a true deadlock.
+Bounded reports may differ from per-context closures' reports, since a
+closure folds only the eviction summaries its own cursors had not
+passed.
 """
 
 from __future__ import annotations
@@ -91,7 +86,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import repro.obs as obs
 from repro.core.closure import SPClosure
-from repro.core.patterns import DeadlockPattern, DeadlockReport
 from repro.locks.history import CSHistories, CSRecord
 from repro.trace.compiled import CompiledTrace, DetectorFeed, compile_trace
 from repro.trace.events import (
@@ -103,27 +97,12 @@ from repro.trace.events import (
     OP_WRITE,
     Event,
 )
-from repro.trace.trace import Trace
 from repro.vc.clock import VectorClock
 
 
-class _AcqEntry:
-    """Queued acquire awaiting deadlock checks.
-
-    ``(tid, ts_val)`` is the epoch of the acquire's (post-tick)
-    timestamp; ``pred_ts`` the full thread-predecessor clock used to
-    seed closures; ``loc`` the location carried into reports.
-    """
-
-    __slots__ = ("idx", "tid", "ts_val", "pred_ts", "loc")
-
-    def __init__(self, idx: int, tid: int, ts_val: int,
-                 pred_ts: VectorClock, loc: str) -> None:
-        self.idx = idx
-        self.tid = tid
-        self.ts_val = ts_val
-        self.pred_ts = pred_ts
-        self.loc = loc
+def _location(rec: CSRecord) -> str:
+    """A queued acquire's location in reports, ``@idx`` if it has none."""
+    return rec.loc if rec.loc is not None else f"@{rec.acq_idx}"
 
 
 # Context key: the ordered abstract pattern ⟨u, l', {l}⟩ vs ⟨t, l, {l'}⟩,
@@ -185,15 +164,13 @@ class SPDOnline(DetectorFeed):
         #: the open-acquire stacks used to fill release timestamps
         self.histories = CSHistories()
         self._open_cs: Dict[Tuple[int, int], List[CSRecord]] = {}
-        # AcqHist: shared per-(thread, lock, held-lock) acquire lists with
-        # per-context cursors (equivalent to the per-opposing-thread queue
-        # copies of Algorithm 4, but robust to threads appearing later),
-        # plus the (lock, held-lock) -> threads index that narrows the
-        # checkDeadlock fan-out to threads with opposing entries.
-        self._acq_seq: Dict[Tuple[int, int, int], List[_AcqEntry]] = {}
+        # AcqHist: per-(thread, lock, held-lock) lists of acquire records
+        # with a cursor per context (Algorithm 4's per-opposing-thread
+        # queue copies, robust to threads appearing later), and the
+        # (lock, held-lock) -> threads index that narrows the fan-out.
+        self._acq_seq: Dict[Tuple[int, int, int], List[CSRecord]] = {}
         self._pair_threads: Dict[Tuple[int, int], List[int]] = {}
         self._ctx_cursor: Dict[_Ctx, int] = {}
-        self._closures: Dict[_Ctx, SPClosure] = {}
         #: thread id -> its prefix closure (see _prefix_closure)
         self._prefixes: Dict[int, SPClosure] = {}
         self.reports: List[OnlineReport] = []
@@ -215,7 +192,7 @@ class SPDOnline(DetectorFeed):
 
     def _prefix_closure(self, tid: int, c_pred: VectorClock) -> SPClosure:
         """Thread ``tid``'s prefix closure, brought to
-        ``SPClosure(c_pred)`` by one incremental compute.
+        ``SPClosure(c_pred)`` by one incremental compute: ``P[new]``.
 
         ``c_pred`` is the predecessor clock of the thread's current
         acquire; the thread's predecessor clocks only grow, so the
@@ -227,10 +204,9 @@ class SPDOnline(DetectorFeed):
         prefix.compute(c_pred)
         return prefix
 
-    def _context_closure(self, prefix: SPClosure) -> SPClosure:
-        """The closure a new context starts from: a clone of its
-        thread's prefix closure, already at the fix-point a fresh
-        closure would compute from the acquire's predecessor clock."""
+    def _joint_closure(self, prefix: SPClosure) -> SPClosure:
+        """The transient joint closure of a check: a clone of the
+        prefix closure, dropped when the check's walk ends."""
         return prefix.clone()
 
     def _closure_from(self, values: List[int]) -> SPClosure:
@@ -307,9 +283,8 @@ class SPDOnline(DetectorFeed):
         idx = self._events_seen
         c_pred = clock.snapshot()
         clock.tick(tid)
-        val = clock[tid]
         # Record the critical section in the shared history.
-        rec = self.histories.append(tid, lid, idx, val)
+        rec = self.histories.append(tid, lid, idx, clock[tid])
         key = (tid, lid)
         open_stack = self._open_cs.get(key)
         if open_stack is None:
@@ -323,16 +298,16 @@ class SPDOnline(DetectorFeed):
         held_before = held[:]
         held.append(lid)
 
-        # Queue this acquire for future checks by opposing threads.
-        entry = _AcqEntry(idx=idx, tid=tid, ts_val=val, pred_ts=c_pred,
-                          loc=loc if loc is not None else f"@{idx}")
+        # Queue this acquire's record for checks by opposing threads.
+        rec.pred_ts = c_pred
+        rec.loc = loc
         acq_seq = self._acq_seq
         pair_threads = self._pair_threads
         for l2 in held_before:
             skey = (tid, lid, l2)
             queue = acq_seq.get(skey)
             if queue is None:
-                acq_seq[skey] = [entry]
+                acq_seq[skey] = [rec]
                 # Index this thread under (lock, held-lock) so opposing
                 # acquires find it without scanning all threads.
                 pair = pair_threads.get((lid, l2))
@@ -341,68 +316,64 @@ class SPDOnline(DetectorFeed):
                 else:
                     pair.append(tid)
             else:
-                queue.append(entry)
+                queue.append(rec)
 
         # Check against queued opposing acquires: u acquired l2 holding
-        # lid.  New contexts start from this thread's prefix closure,
-        # brought to c_pred once per acquire.
-        closures = self._closures
+        # lid.  The first check that needs P[new] computes it.
+        cursors = self._ctx_cursor
         prefix = None
         for l2 in held_before:
             for u in pair_threads.get((l2, lid), ()):
                 if u == tid:
                     continue
-                queue = acq_seq.get((u, l2, lid))
-                if not queue:
-                    continue
+                queue = acq_seq[(u, l2, lid)]
                 opp_ctx: _Ctx = (u, l2, tid, lid)
-                closure = closures.get(opp_ctx)
-                if closure is None:
-                    if prefix is None:
-                        prefix = self._prefix_closure(tid, c_pred)
-                    closure = self._context_closure(prefix)
-                    closures[opp_ctx] = closure
-                self._check_deadlock(queue, closure, opp_ctx, c_pred, entry)
+                cursor = cursors.get(opp_ctx, 0)
+                if cursor < len(queue):
+                    prefix = self._check_deadlock(queue, cursor, prefix,
+                                                  opp_ctx, rec)
 
-    def _check_deadlock(
-        self,
-        queue: List[_AcqEntry],
-        closure: SPClosure,
-        ctx: _Ctx,
-        c_pred: VectorClock,
-        new_entry: _AcqEntry,
-    ) -> None:
+    def _check_deadlock(self, queue: List[CSRecord], cursor: int,
+                        prefix: Optional[SPClosure], ctx: _Ctx,
+                        new: CSRecord) -> Optional[SPClosure]:
         """The ``checkDeadlock`` helper of Algorithm 4.
 
-        Walks the opposing acquire list from this context's cursor.
-        Entries swallowed by the closure are skipped forever
-        (Corollary 4.5); the first entry that survives the closure is a
-        sync-preserving deadlock with ``new_entry``.
+        Walks the opposing acquire list from this context's cursor.  An
+        entry inside ``c_pred`` or else ``P[new]`` (``prefix``, computed
+        at most once per acquire) is swallowed for good (Corollary 4.5);
+        the first entry that then survives the joint fix-point (see the
+        module docstring) is a deadlock with ``new``.  Returns ``prefix``.
         """
-        closure.join_seed(c_pred)
-        cursor = self._ctx_cursor.get(ctx, 0)
+        c_pred = new.pred_ts
+        joint = None
         n = len(queue)
         while cursor < n:
             old = queue[cursor]
             self._deadlock_checks += 1
-            t_clock = closure.compute(old.pred_ts)
-            # Epoch test: old's acquire timestamp ⊑ closure clock?
-            if old.ts_val > t_clock.component(old.tid):
-                u, l2, t, lock = ctx
-                names = self.names.threads_tab.names
-                lock_names = self.names.locks_tab.names
-                self.reports.append(
-                    OnlineReport(
-                        first_event=old.idx,
-                        second_event=new_entry.idx,
-                        context=(names[u], lock_names[l2],
-                                 names[t], lock_names[lock]),
-                        locations=(old.loc, new_entry.loc),
-                    )
-                )
-                break
+            # Epoch tests: old ⊑ c_pred (so ⊑ P[new]), else old ⊑ P[new],
+            # else old ⊑ the joint closure?
+            if old.acq_val > c_pred.component(old.slot):
+                if prefix is None:
+                    prefix = self._prefix_closure(new.slot, c_pred)
+                if old.acq_val > prefix.clock.component(old.slot):
+                    if joint is None:
+                        joint = self._joint_closure(prefix)
+                    t_clock = joint.compute(old.pred_ts)
+                    if old.acq_val > t_clock.component(old.slot):
+                        self._report(old, new, ctx)
+                        break
             cursor += 1
         self._ctx_cursor[ctx] = cursor
+        return prefix
+
+    def _report(self, old: CSRecord, new: CSRecord, ctx: _Ctx) -> None:
+        u, l2, t, lock = ctx
+        names = self.names.threads_tab.names
+        lock_names = self.names.locks_tab.names
+        self.reports.append(OnlineReport(
+            first_event=old.acq_idx, second_event=new.acq_idx,
+            context=(names[u], lock_names[l2], names[t], lock_names[lock]),
+            locations=(_location(old), _location(new))))
 
     # -- bounded-memory eviction (Corollary 4.5 + summary clocks) -----------
 
@@ -417,8 +388,8 @@ class SPDOnline(DetectorFeed):
         1. **Critical-section histories and their log** —
            :meth:`CSHistories.evict` trims closed records older than
            the horizon into per-history summary clocks and compacts the
-           append log; every closure, the per-thread prefix closures
-           included, then rebases its cursors (:meth:`SPClosure.rebase`).
+           append log; every per-thread prefix closure then rebases its
+           cursors (:meth:`SPClosure.rebase`).
         2. **Guarded-acquire queues** (AcqHist) — entries older than
            the horizon can never be re-examined usefully at bounded
            memory; dropping them forfeits only the patterns they
@@ -431,14 +402,13 @@ class SPDOnline(DetectorFeed):
             return
         trimmed = self.histories.evict(horizon)
         if trimmed:
-            for closures in (self._closures, self._prefixes):
-                for closure in closures.values():
-                    closure.rebase(trimmed)
+            for closure in self._prefixes.values():
+                closure.rebase(trimmed)
         acq_trim: Dict[Tuple[int, int, int], int] = {}
         for skey, queue in self._acq_seq.items():
             k = 0
             n = len(queue)
-            while k < n and queue[k].idx < horizon:
+            while k < n and queue[k].acq_idx < horizon:
                 k += 1
             if k:
                 del queue[:k]
@@ -456,25 +426,23 @@ class SPDOnline(DetectorFeed):
     def checkpoint(self) -> bytes:
         """Serialize the complete detector state.
 
-        The blob captures names, clocks, histories, queues, closures,
-        and reports — restoring and feeding the remainder of a stream
-        yields exactly the reports of an uninterrupted run.  Only the
-        id maps of the last source fed are dropped: a restored detector
-        rebuilds them from its names on its next feed.
+        The blob captures names, clocks, histories, queues, context
+        cursors, prefix closures, and reports — restoring and feeding
+        the remainder of a stream yields exactly the reports of an
+        uninterrupted run.  Only the id maps of the last source fed are
+        dropped: a restored detector rebuilds them from its names on its
+        next feed.
         """
         import pickle
 
         state = dict(self.__dict__)
         del state["_maps"]
-        # Closures, the context and the prefix ones, serialize as their
-        # canonical clock (a plain int list), and the history pickles
-        # its canonical records only (its columns and indexes are
-        # rebuilt on restore).
-        for key in ("_closures", "_prefixes"):
-            state[key] = {
-                k: closure.canonical_clock()
-                for k, closure in getattr(self, key).items()
-            }
+        # Prefix closures serialize as their canonical clock (a plain
+        # int list), and the history pickles its canonical records only
+        # (its columns and indexes are rebuilt on restore); queued
+        # acquires are those same records.
+        state["_prefixes"] = {tid: closure.canonical_clock()
+                              for tid, closure in self._prefixes.items()}
         self._checkpoint_extra(state)
         return pickle.dumps((type(self).__name__, state),
                             protocol=pickle.HIGHEST_PROTOCOL)
@@ -498,31 +466,21 @@ class SPDOnline(DetectorFeed):
             raise ValueError(
                 f"checkpoint was taken from {kind}, not {cls.__name__}"
             )
-        if not isinstance(state.get("histories"), CSHistories):
-            raise ValueError(
-                f"stale {kind} checkpoint: it keeps its critical-section "
-                "history in flat fields, not a CSHistories; re-feed the "
-                "stream instead"
-            )
-        if not isinstance(state.get("names"), CompiledTrace):
-            raise ValueError(
-                f"stale {kind} checkpoint: it keeps its names in per-kind "
-                "dicts, not a CompiledTrace; re-feed the stream instead"
-            )
+        # Older layouts: refused, not rebound.
+        for stale, layout in (
+            (not isinstance(state.get("histories"), CSHistories),
+             "its critical-section history in flat fields, not a CSHistories"),
+            (not isinstance(state.get("names"), CompiledTrace),
+             "its names in per-kind dicts, not a CompiledTrace"),
+            ("_closures" in state, "one closure per context, not per thread"),
+        ):
+            if stale:
+                raise ValueError(f"stale {kind} checkpoint: it keeps "
+                                 f"{layout}; re-feed the stream instead")
         out = cls.__new__(cls)
         out.__dict__.update(state)
         out._maps = None
-        # Closures checkpoint as canonical clocks; rebuild them.
-        closures = {}
-        for ctx, values in out._closures.items():
-            if not isinstance(values, list):
-                raise ValueError(
-                    f"stale {kind} checkpoint: its closures are pickled "
-                    "objects, not canonical clocks; re-feed the stream "
-                    "instead"
-                )
-            closures[ctx] = out._closure_from(values)
-        out._closures = closures
+        # Prefix closures checkpoint as canonical clocks; rebuild them.
         out._prefixes = {tid: out._closure_from(values)
                          for tid, values in out._prefixes.items()}
         out._restore_extra()
@@ -538,7 +496,8 @@ class SPDOnline(DetectorFeed):
 
         - ``events``: events processed so far.
         - ``deadlock_checks``: queue entries examined by checkDeadlock.
-        - ``contexts``: distinct ⟨t1, l1, t2, l2⟩ closures materialized.
+        - ``contexts``: distinct ⟨t1, l1, t2, l2⟩ contexts checked (one
+          queue cursor each).
         - ``acquire_entries``: total queued guarded acquires.
         - ``cs_records``: critical sections recorded.
         - ``tracked_entries``: live per-event state (records + queued
@@ -552,7 +511,7 @@ class SPDOnline(DetectorFeed):
         return {
             "events": self._events_seen,
             "deadlock_checks": self._deadlock_checks,
-            "contexts": len(self._closures),
+            "contexts": len(self._ctx_cursor),
             "acquire_entries": acquire_entries,
             "cs_records": cs_records,
             "tracked_entries": (cs_records + acquire_entries
@@ -598,14 +557,6 @@ class SPDOnlineResult:
             for r in self.reports
         }
 
-    def to_reports(self, trace: Trace) -> List[DeadlockReport]:
-        """Convert to the offline report type (for comparisons)."""
-        out = []
-        for r in self.reports:
-            pat = DeadlockPattern(tuple(sorted((r.first_event, r.second_event))))
-            out.append(DeadlockReport.from_pattern(trace, pat))
-        return out
-
 
 def spd_online(trace) -> SPDOnlineResult:
     """Run :class:`SPDOnline` over a complete trace."""
@@ -616,35 +567,36 @@ def spd_online(trace) -> SPDOnlineResult:
 #
 # Same patch-on-enable scheme as repro.core.closure: the disabled path
 # carries no telemetry code.  ``online.feed`` spans each feed_batch;
-# ``online.prefix`` counts prefix-closure computes (one per acquire that
-# opens contexts) and ``online.contexts`` the contexts started from a
-# clone.
+# ``online.prefix`` counts prefix-closure computes (at most one per
+# acquire, only for an entry outside ``c_pred``) and ``online.joint``
+# the joint fix-points started (one per checked context whose walk
+# ``P[new]`` does not decide).
 
 
 def _obs_install():
     orig_prefix = SPDOnline._prefix_closure
-    orig_context = SPDOnline._context_closure
+    orig_joint = SPDOnline._joint_closure
     orig_feed = SPDOnline.feed_batch   # DetectorFeed's: SPDOnline has none
 
     def _prefix_closure(self, tid, c_pred):
         obs.count("online.prefix")
         return orig_prefix(self, tid, c_pred)
 
-    def _context_closure(self, prefix):
-        obs.count("online.contexts")
-        return orig_context(self, prefix)
+    def _joint_closure(self, prefix):
+        obs.count("online.joint")
+        return orig_joint(self, prefix)
 
     def feed_batch(self, compiled, lo, hi, base=0):
         with obs.span("online.feed", cat="online"):
             orig_feed(self, compiled, lo, hi, base)
 
     SPDOnline._prefix_closure = _prefix_closure
-    SPDOnline._context_closure = _context_closure
+    SPDOnline._joint_closure = _joint_closure
     SPDOnline.feed_batch = feed_batch
 
     def undo():
         SPDOnline._prefix_closure = orig_prefix
-        SPDOnline._context_closure = orig_context
+        SPDOnline._joint_closure = orig_joint
         del SPDOnline.feed_batch
 
     return undo

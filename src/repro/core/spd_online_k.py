@@ -24,10 +24,10 @@ This module is that extension:
 Signatures are interned-id tuples ``(tid, lid, frozenset(lids))``;
 reports translate back to names.  Closure membership checks use the
 same O(1) epoch comparisons as the parent.  Size-2 contexts are the
-parent's, so they start from its per-thread prefix closures; a
-K-context (size ≥ 3) starts from a fresh
-:class:`~repro.core.closure.SPClosure`, since its seeds join the
-predecessors of acquires on several threads.
+parent's: each keeps only a queue cursor, and its checks read the
+per-thread prefix closures.  A K-context (size ≥ 3) keeps its own
+persistent :class:`~repro.core.closure.SPClosure`, started fresh, since
+its seeds join the predecessors of acquires on several threads.
 
 Worst-case time adds the cycle-enumeration factor that Theorem 3.1
 says is unavoidable; with the signature count small (as in practice),
@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.closure import SPClosure
-from repro.core.spd_online import SPDOnline, _AcqEntry
+from repro.core.spd_online import SPDOnline, _location
+from repro.locks.history import CSRecord
 from repro.vc.clock import VectorClock
 
 #: Interned signature: (thread id, lock id, held lock ids).
@@ -102,7 +103,7 @@ class SPDOnlineK(SPDOnline):
         self._succ: Dict[int, Set[int]] = {}
         self._pred: Dict[int, Set[int]] = {}
         # Per-signature acquire queues (any-size analog of _acq_seq).
-        self._sig_entries: Dict[Signature, List[_AcqEntry]] = {}
+        self._sig_entries: Dict[Signature, List[CSRecord]] = {}
         # Live contexts, indexed by member signature.
         self._contexts: List[_Context] = []
         self._contexts_of_sig: Dict[Signature, List[_Context]] = {}
@@ -179,15 +180,15 @@ class SPDOnlineK(SPDOnline):
         if entries is None:
             self._sig_entries[sig] = entries = []
             self._add_signature(sig)
-        # The entry was already queued by the parent for size-2; build
-        # the any-size entry from the same data.
+        # The parent queued this acquire's record for size-2; queue the
+        # same record here.
         last = self._acq_seq[(tid, lid, next(iter(held_before)))][-1]
         entries.append(last)
         for ctx in self._contexts_of_sig.get(sig, ()):
             self._check_context(ctx, sig, last)
 
     def _check_context(self, ctx: _Context, sig: Signature,
-                       new_entry: _AcqEntry) -> None:
+                       new_entry: CSRecord) -> None:
         """Algorithm 2 with the newest event pinned at sig's coordinate."""
         if ctx.reported:
             return
@@ -195,7 +196,7 @@ class SPDOnlineK(SPDOnline):
         k = len(ctx.signatures)
         ctx.closure.join_seed(new_entry.pred_ts)
         while True:
-            candidate: List[Optional[_AcqEntry]] = [None] * k
+            candidate: List[Optional[CSRecord]] = [None] * k
             candidate[pin] = new_entry
             for j in range(k):
                 if j == pin:
@@ -219,19 +220,20 @@ class SPDOnlineK(SPDOnline):
                 i = ctx.cursors[j]
                 # Epoch test for closure membership of each queued acquire.
                 while i < len(queue) and (
-                    queue[i].ts_val <= t_clock.component(queue[i].tid)
+                    queue[i].acq_val <= t_clock.component(queue[i].slot)
                 ):
                     i += 1
                 if i != ctx.cursors[j]:
                     swallowed = True
                 ctx.cursors[j] = i
             if not swallowed:
-                if all(e.ts_val > t_clock.component(e.tid) for e in candidate):
+                if all(e.acq_val > t_clock.component(e.slot)
+                       for e in candidate):
                     ctx.reported = True
                     self.k_reports.append(
                         OnlineKReport(
-                            events=tuple(e.idx for e in candidate),
-                            locations=tuple(e.loc for e in candidate),
+                            events=tuple(e.acq_idx for e in candidate),
+                            locations=tuple(_location(e) for e in candidate),
                             signatures=tuple(
                                 self._named_signature(s) for s in ctx.signatures
                             ),

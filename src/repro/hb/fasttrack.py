@@ -21,7 +21,8 @@ names (:class:`~repro.trace.compiled.DetectorFeed`, the event path it
 shares with SPDOnline): ``step()`` interns a string event, and a
 session's or a :class:`~repro.trace.compiled.CompiledTrace`'s columns
 stream through with their ids translated only where the source named
-things in another order.  Lock-release clocks carry their epoch so
+things in another order; races number events by arrival, as SPDOnline's
+reports do.  Lock-release clocks carry their epoch so
 ordered re-acquires skip the O(T) join, and the :class:`Epoch` type
 itself lives in :mod:`repro.vc.clock`, shared with the deadlock
 engines.
@@ -36,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+import repro.obs as obs
 from repro.trace.compiled import CompiledTrace, DetectorFeed, compile_trace
 from repro.trace.events import (
     OP_ACQUIRE,
@@ -114,6 +116,7 @@ class FastTrack(DetectorFeed):
         self._vars: List[_VarState] = []
         self.result = FastTrackResult()
         self._reported: Set[Tuple[str, str]] = set()
+        self._events_seen = 0
 
     def _grow(self) -> None:
         names = self.names
@@ -141,10 +144,11 @@ class FastTrack(DetectorFeed):
     # -- handlers (the PLDI'09 state machine) -------------------------------
 
     def step(self, event) -> None:
-        op, tid, target_id = self._intern(event)
-        self._step_coded(op, tid, target_id, event.idx)
+        self._step_coded(*self._intern(event))
 
-    def _step_coded(self, op: int, tid: int, target_id: int, idx: int) -> None:
+    def _step_coded(self, op: int, tid: int, target_id: int) -> None:
+        idx = self._events_seen
+        self._events_seen = idx + 1
         c = self._clocks[tid]
         self._materialized[tid] = True
         if op == OP_WRITE:
@@ -256,15 +260,15 @@ class FastTrack(DetectorFeed):
     def feed_batch(self, compiled: CompiledTrace, lo: int, hi: int,
                    base: int = 0) -> None:
         """Session feed (see :mod:`repro.stream`): FastTrack's coded
-        step takes the *global* event index (``base + i``) instead of a
-        location, so race reports name the same events a batch run
-        over the full trace would."""
+        step takes no location, and numbers events by arrival, so a
+        session's races name the same events a batch run over the full
+        trace would."""
         ops, tids, targets = self._columns(compiled)
         step_coded = self._step_coded
         for i in range(lo, hi):
             # request events fall through _step_coded as no-ops,
             # matching step() exactly
-            step_coded(ops[i], tids[i], targets[i], base + i)
+            step_coded(ops[i], tids[i], targets[i])
 
     def run(self, trace) -> FastTrackResult:
         """Stream a whole trace (``Trace``, ``CompiledTrace`` or an event
@@ -280,3 +284,23 @@ class FastTrack(DetectorFeed):
 def fasttrack_races(trace) -> FastTrackResult:
     """Run FastTrack over a complete trace."""
     return FastTrack().run(trace)
+
+
+# -- telemetry ---------------------------------------------------------------
+#
+# A ``fasttrack.feed`` span per feed_batch, named after perfbench's
+# per-layer key; patch-on-enable, as in repro.core.spd_online.
+
+
+def _obs_install():
+    orig_feed = FastTrack.feed_batch
+
+    def feed_batch(self, compiled, lo, hi, base=0):
+        with obs.span("fasttrack.feed", cat="fasttrack"):
+            orig_feed(self, compiled, lo, hi, base)
+
+    FastTrack.feed_batch = feed_batch
+    return lambda: setattr(FastTrack, "feed_batch", orig_feed)
+
+
+obs.on_enable(_obs_install)

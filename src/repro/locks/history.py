@@ -67,9 +67,14 @@ class CSRecord:
     ``rel_val``/``rel_ts`` are the matching release's own component
     and full timestamp, ``None`` while the section is open (a history
     built up front leaves ``rel_ts`` to :meth:`CSHistories.release_ts`).
+    ``pred_ts``/``loc`` are set by SPDOnline on a guarded acquire's
+    record, which it queues for deadlock checks: the thread's
+    predecessor clock that seeds the checks' closures, and the event's
+    location (``None`` when it carried none), for reports.
     """
 
-    __slots__ = ("acq_idx", "slot", "acq_val", "rel_val", "rel_ts")
+    __slots__ = ("acq_idx", "slot", "acq_val", "rel_val", "rel_ts",
+                 "pred_ts", "loc")
 
     def __init__(self, acq_idx: int, slot: int, acq_val: int) -> None:
         self.acq_idx = acq_idx
@@ -77,6 +82,8 @@ class CSRecord:
         self.acq_val = acq_val
         self.rel_val: Optional[int] = None
         self.rel_ts: Optional[VectorClock] = None
+        self.pred_ts: Optional[VectorClock] = None
+        self.loc: Optional[str] = None
 
 
 class CSHistories:

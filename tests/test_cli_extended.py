@@ -101,6 +101,72 @@ class TestJsonOutput:
         assert sorted(payload["deadlocks"][0]["events"]) == [3, 17]
 
 
+class TestAnalyzeMaxCycles:
+    """``analyze --max-cycles N`` caps phase 1's cycle enumeration,
+    whose worst case is exponential (Theorem 3.1)."""
+
+    @pytest.fixture
+    def wide_file(self, tmp_path):
+        """16 threads x 8 locks, 1.5k events: unbounded, Johnson's
+        enumeration runs for minutes on it."""
+        from repro.synth.random_traces import (
+            RandomTraceConfig,
+            generate_random_trace,
+        )
+
+        path = tmp_path / "wide.std"
+        save_trace(generate_random_trace(RandomTraceConfig(
+            num_threads=16, num_locks=8, num_vars=10, num_events=1500,
+            max_nesting=3, acquire_prob=0.35, release_prob=0.3, seed=11)),
+            str(path))
+        return str(path)
+
+    def test_cap_stops_enumeration_and_says_so(self, wide_file, capsys):
+        import json
+        import time
+
+        start = time.perf_counter()
+        assert main(["analyze", "--max-cycles", "500", wide_file]) == 0
+        out = capsys.readouterr().out
+        assert "[500 cycles," in out
+        assert "cycle enumeration stopped at --max-cycles 500" in out
+        assert main(["analyze", "--json", "--max-cycles", "500",
+                     wide_file]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert time.perf_counter() - start < 30
+        assert (payload["cycles"], payload["max_cycles"],
+                payload["cycles_capped"]) == (500, 500, True)
+
+    def test_cap_not_reached(self, sigma2_file, capsys):
+        import json
+
+        assert main(["analyze", "--max-cycles", "500", sigma2_file]) == 1
+        assert "stopped" not in capsys.readouterr().out
+        assert main(["analyze", "--json", "--max-cycles", "500",
+                     sigma2_file]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["cycles"], payload["max_cycles"],
+                payload["cycles_capped"]) == (1, 500, False)
+        assert main(["analyze", "--json", sigma2_file]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["max_cycles"], payload["cycles_capped"]) == \
+            (None, False)
+
+    def test_nonpositive_cap_rejected(self, sigma2_file, capsys):
+        assert main(["analyze", "--max-cycles", "0", sigma2_file]) == 2
+        assert "--max-cycles must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [["--online"], ["--stream"],
+                                      ["--window", "100"]])
+    def test_cap_is_batch_only(self, sigma2_file, capsys, mode):
+        """The streaming and windowed modes enumerate no cycles (or not
+        through this cap), so the flag is refused there, not ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--max-cycles", "5", *mode, sigma2_file])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+
 class TestLineEnds:
     """Batch and streaming analysis read a file the same way whatever
     its line ends: \n, \r\n or a lone \r."""

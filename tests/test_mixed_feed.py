@@ -17,10 +17,10 @@ from three sources at once:
 delivering each source's pending events before the next source's, so
 events arrive in trace order; SPDOnline and SPDOnlineK are also
 checkpointed and restored at a random cut.  Every run must report what
-the same events ``step()``ped into one fresh detector report: SPDOnline
-and SPDOnlineK by arrival index, context and locations (plus
-``stats()``), FastTrack, which numbers events by each source's own
-index, by variable and kind (plus its operation counts).
+the same events ``step()``ped into one fresh detector report, each
+event named by its arrival index: SPDOnline and SPDOnlineK by event
+pair, context and locations (plus ``stats()``), FastTrack by event
+pair, variable and kind (plus its operation counts).
 
 The long fuzz loop is opt-in: ``REPRO_FUZZ_ITERS=2000 pytest -m fuzz
 tests/test_mixed_feed.py``.
@@ -55,8 +55,8 @@ def online_sig(det):
 
 def fasttrack_sig(det):
     res = det.result
-    return ([(r.variable, r.kind) for r in res.races],
-            res.epoch_ops, res.vector_ops)
+    return ([(r.first_event, r.second_event, r.variable, r.kind)
+             for r in res.races], res.epoch_ops, res.vector_ops)
 
 
 #: (name, factory, signature, whether it checkpoints)
@@ -199,9 +199,9 @@ class TestHandCases:
 
     def test_fasttrack_ww_race_on_the_right_variable(self):
         """``t1`` and ``t2`` write ``z`` unordered, one through the
-        session and one by ``step()``: a ``ww`` race on ``z``, which
-        FastTrack missed (and blamed on ``b``) when it read the
-        session's ids as its own."""
+        session and one by ``step()``: a ``ww`` race on ``z`` between
+        the third and fourth arrivals, which FastTrack missed (and
+        blamed on ``b``) when it read the session's ids as its own."""
         events, sources = plan(
             ("s", "t1", "w", "a"),
             ("d", "t2", "w", "b"),
@@ -209,7 +209,7 @@ class TestHandCases:
             ("d", "t2", "w", "z"),
         )
         det = mixed(FastTrack, events, sources)
-        assert fasttrack_sig(det)[0] == [("z", "ww")]
+        assert fasttrack_sig(det)[0] == [(2, 3, "z", "ww")]
         assert fasttrack_sig(det) == fasttrack_sig(stepped(FastTrack, events))
 
 

@@ -231,10 +231,13 @@ class TestSpanTree:
     def test_online_feed_span_and_prefix_counters(self):
         """SPDOnline opens one ``online.feed`` span per ``feed_batch``
         and counts its prefix-closure computes (``online.prefix``, at
-        most one per acquire) and the contexts it starts from a clone
-        (``online.contexts``, every context) only while telemetry is
-        enabled; disable unwinds the wrappers."""
+        most one per acquire) and the joint fix-points it starts
+        (``online.joint``, at most one per checked context and
+        acquire), and FastTrack opens one ``fasttrack.feed`` span per
+        ``feed_batch``, only while telemetry is enabled; disable
+        restores the original class attributes."""
         from repro.core.spd_online import SPDOnline
+        from repro.hb.fasttrack import FastTrack
         from repro.synth.random_traces import (
             RandomTraceConfig,
             generate_random_trace,
@@ -244,27 +247,33 @@ class TestSpanTree:
         comp = compile_trace(generate_random_trace(RandomTraceConfig(
             num_threads=6, num_locks=6, num_events=600, max_nesting=3,
             acquire_prob=0.35, seed=3)))
-        orig = (SPDOnline._prefix_closure, SPDOnline._context_closure)
+        orig = (SPDOnline._prefix_closure, SPDOnline._joint_closure,
+                FastTrack.feed_batch)
         assert "feed_batch" not in vars(SPDOnline)
         obs.enable(None)
         with obs.span("run"):
             det = SPDOnline()
             det.feed_batch(comp, 0, 300)
             det.feed_batch(comp, 300, len(comp))
+            ft = FastTrack()
+            ft.feed_batch(comp, 0, 300)
+            ft.feed_batch(comp, 300, len(comp))
         paths = [s["path"] for s in obs.drain_spans() if s["k"] == "span"]
         assert paths.count("run/online.feed") == 2, paths
+        assert paths.count("run/fasttrack.feed") == 2, paths
         c = obs.snapshot()["counters"]
-        assert c["online.contexts"] == det.stats()["contexts"] > 0
-        assert len(det._prefixes) <= c["online.prefix"] \
-            < c["online.contexts"]
+        checks = det.stats()["deadlock_checks"]
+        assert 0 < len(det._prefixes) <= c["online.prefix"] <= checks
+        assert 0 < c["online.joint"] < checks
         obs.disable()
-        assert (SPDOnline._prefix_closure,
-                SPDOnline._context_closure) == orig
+        assert (SPDOnline._prefix_closure, SPDOnline._joint_closure,
+                FastTrack.feed_batch) == orig
         assert "feed_batch" not in vars(SPDOnline)
         SPDOnline().run(comp)
+        FastTrack().run(comp)
         obs.enable(None)
         assert obs.drain_spans() == []
-        assert not any(k.startswith("online.")
+        assert not any(k.startswith(("online.", "fasttrack."))
                        for k in obs.snapshot()["counters"])
 
 

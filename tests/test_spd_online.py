@@ -1,11 +1,13 @@
 """SPDOnline-specific behavior: streaming, incrementality, fork/join."""
 
+import tracemalloc
 
 from repro.core.spd_online import SPDOnline, spd_online
 from repro.core.spd_offline import spd_offline
 from repro.synth.paper import sigma2, sigma3
 from repro.synth.random_traces import RandomTraceConfig, generate_random_trace
 from repro.trace.builder import TraceBuilder
+from repro.trace.compiled import compile_trace
 
 
 class TestStreaming:
@@ -34,6 +36,17 @@ class TestStreaming:
         assert rep.first_event == 1 and rep.second_event == 5
         assert set(rep.locations) == {"X", "Y"}
         assert rep.bug_id == ("X", "Y")
+
+    def test_missing_location_reads_as_index(self):
+        t = (
+            TraceBuilder()
+            .acq("t1", "a").acq("t1", "b", loc="X").rel("t1", "b").rel("t1", "a")
+            .acq("t2", "b").acq("t2", "a")
+            .build()
+        )
+        rep = spd_online(t).reports[0]
+        assert (rep.first_event, rep.second_event) == (1, 5)
+        assert rep.locations == ("X", "@5")
 
     def test_incomplete_trace_still_reports(self):
         """Online must not need the trace to finish (no lookahead)."""
@@ -126,3 +139,27 @@ class TestScalability:
             assert (spd_online(t).num_reports > 0) == (
                 spd_offline(t, max_size=2).num_deadlocks > 0
             ), t.name
+
+    def test_wide_stream_heap_ceiling(self):
+        """Closure state lives per thread, so an exact run over a
+        6k-event 16-thread x 24-lock stream peaks at about 1.8 MB of
+        traced allocations (keeping a persistent closure for each of its
+        1,549 contexts peaked at 16 MB).  Allocation sizes do not depend
+        on the machine's speed or load, so the ceiling is asserted as
+        is."""
+        comp = compile_trace(generate_random_trace(RandomTraceConfig(
+            num_threads=16, num_locks=24, num_vars=16, num_events=6000,
+            acquire_prob=0.35, max_nesting=3, seed=7)))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            res = SPDOnline().run(comp)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert res.stats["contexts"] > 1000 and res.num_reports > 100
+        assert peak < 5_000_000, f"peak {peak / 1e6:.1f} MB"

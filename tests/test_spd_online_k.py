@@ -43,6 +43,20 @@ class TestLargerCycles:
         assert len(det.k_reports) == 1
         assert det.k_reports[0].size == 5
 
+    def test_missing_locations_read_as_indices(self):
+        """Acquires that carry no location are named ``@idx`` in K
+        reports, as in size-2 reports."""
+        t = (
+            TraceBuilder()
+            .acq("t1", "a").acq("t1", "b", loc="X").rel("t1", "b").rel("t1", "a")
+            .acq("t2", "b").acq("t2", "c").rel("t2", "c").rel("t2", "b")
+            .acq("t3", "c").acq("t3", "a")
+            .build()
+        )
+        det = spd_online_k(t, max_size=3)
+        assert [(r.events, r.locations) for r in det.k_reports] == \
+            [((9, 1, 5), ("@9", "X", "@5"))]
+
     def test_report_fires_at_last_acquire(self):
         """Streaming: the size-3 report fires the moment the closing
         acquire of the cycle arrives, not at end of trace."""

@@ -329,10 +329,10 @@ def assert_eviction_sound(trace, det, exact_reports, label=""):
 
 
 def closure_cursors(det):
-    """Each closure row's (cursor, last-consumed record), keyed by
-    (closure, lock, row position)."""
+    """Each prefix closure row's (cursor, last-consumed record), keyed
+    by (closure, lock, row position)."""
     out = {}
-    for closure in det._closures.values():
+    for closure in det._prefixes.values():
         for lid, row in closure._by_lock.items():
             for i in range(0, len(row), 2):
                 out[(id(closure), lid, i)] = (row[i], row[i + 1])
@@ -342,8 +342,9 @@ def closure_cursors(det):
 def assert_sweep_invariants(det, before):
     """After an eviction sweep: every value column equals its records'
     acquire values (the per-lock index shares those lists), and every
-    closure cursor was rebased onto the trimmed history — it names its
-    last-consumed record's new position, or 0 once that was evicted."""
+    prefix closure cursor was rebased onto the trimmed history — it
+    names its last-consumed record's new position, or 0 once that was
+    evicted.  Returns the number of rows checked."""
     hist = det.histories
     for key, records in hist.records.items():
         assert hist.cols[key] == [rec.acq_val for rec in records], key
@@ -353,10 +354,12 @@ def assert_sweep_invariants(det, before):
         for tid, records, col in hists:
             assert records is hist.records[(tid, lid)]
             assert col is hist.cols[(tid, lid)]
-    for closure in det._closures.values():
+    rows = 0
+    for closure in det._prefixes.values():
         for lid, row in closure._by_lock.items():
             hists = hist.by_lock[lid]
             for i in range(0, len(row), 2):
+                rows += 1
                 tid, records, col = hists[i // 2]
                 old_cursor, last = before.get((id(closure), lid, i),
                                               (0, None))
@@ -368,18 +371,20 @@ def assert_sweep_invariants(det, before):
                 assert row[i] == want, (tid, lid, old_cursor, row[i])
                 if want:
                     assert row[i + 1] is records[want - 1]
+    return rows
 
 
 def checked_sweeps(det):
     """Make ``det`` assert :func:`assert_sweep_invariants` after every
-    eviction sweep; ``det.sweeps_checked`` counts them."""
+    eviction sweep; ``det.sweeps_checked`` counts them and
+    ``det.rows_checked`` the prefix closure rows they checked."""
     sweep = det._evict_stale
-    det.sweeps_checked = 0
+    det.sweeps_checked = det.rows_checked = 0
 
     def checked():
         before = closure_cursors(det)
         sweep()
-        assert_sweep_invariants(det, before)
+        det.rows_checked += assert_sweep_invariants(det, before)
         det.sweeps_checked += 1
 
     det._evict_stale = checked
@@ -399,8 +404,7 @@ class TestEvictionSoundness:
             assert_eviction_sound(trace, det, exact, f"{path}@{horizon}")
 
     def test_random_sound_and_bounded_state(self):
-        fired = 0
-        kept = 0
+        fired = kept = rows = 0
         for seed in range(QUICK_ITERS):
             trace = as_trace(generate_random_trace(config_for(seed)))
             exact = spd_online(trace.compiled).reports
@@ -412,8 +416,10 @@ class TestEvictionSoundness:
             if det.stats()["evictions"]:
                 fired += 1
             kept += len(det.reports)
+            rows += det.rows_checked
         assert fired > 0, "eviction never fired; sweep is vacuous"
         assert kept > 0, "bounded mode found nothing; sweep is vacuous"
+        assert rows > 0, "no prefix closure row was rebased"
 
     def test_tracked_state_is_bounded(self):
         """On a long lock-heavy stream, tracked entries stay O(horizon)
@@ -476,6 +482,7 @@ class TestCheckpointRestore:
         the log base and desynchronizes the dirty-tracking, so a
         resumed bounded run must stay identical to an uninterrupted
         one."""
+        rebound = 0
         for seed in range(0, QUICK_ITERS, 13):
             compiled = as_trace(generate_random_trace(config_for(seed))).compiled
             n = len(compiled)
@@ -485,14 +492,15 @@ class TestCheckpointRestore:
             det = SPDOnline(max_memory_events=horizon)
             det.feed_batch(compiled, 0, n // 2)
             resumed = SPDOnline.restore(det.checkpoint())
-            for closure in (*resumed._closures.values(),
-                            *resumed._prefixes.values()):
+            for closure in resumed._prefixes.values():
                 assert closure._hist is resumed.histories
+                rebound += 1
             resumed.feed_batch(compiled, n // 2, n)
             assert online_key(resumed.reports) == \
                 online_key(straight.reports), f"seed={seed}"
             assert resumed.histories.log_base == \
                 straight.histories.log_base, f"seed={seed}"
+        assert rebound > 0, "no prefix closure was restored"
 
     def test_blob_pickles_canonical_state_only(self):
         """The value columns and the per-lock history index derive from
@@ -502,7 +510,7 @@ class TestCheckpointRestore:
         import pickle
 
         keys = {
-            "_acq_seq", "_clocks", "_closures", "_ctx_cursor",
+            "_acq_seq", "_clocks", "_ctx_cursor",
             "_deadlock_checks", "_events_seen", "_evict_period",
             "_evictions", "_held", "_last_write", "_next_evict",
             "_open_cs", "_pair_threads", "_prefixes", "histories",
@@ -539,10 +547,11 @@ class TestCheckpointRestore:
         assert isinstance(SPDOnlineK.restore(blob), SPDOnlineK)
 
     def test_restore_rejects_stale_blobs(self, monkeypatch):
-        """Blobs that pickled closure or context objects (the formats
-        before canonical clocks), or that keep the critical-section
-        history in flat detector fields (the layout before
-        ``CSHistories``), are refused as stale, not rebound."""
+        """Blobs that keep a closure per size-2 context (the layout
+        before closures were kept per thread), that pickled K-context
+        objects (the format before canonical clocks), or that keep the
+        critical-section history in flat detector fields (the layout
+        before ``CSHistories``), are refused as stale, not rebound."""
         import importlib
         import pickle
 
@@ -555,9 +564,9 @@ class TestCheckpointRestore:
             det = SPDOnline()
             det.run(trace.compiled)
             kind, state = pickle.loads(det.checkpoint())
-            assert state["_closures"]
+            assert state["_ctx_cursor"]
             state["_closures"] = {ctx: SPClosure(det.histories)
-                                  for ctx in state["_closures"]}
+                                  for ctx in state["_ctx_cursor"]}
             with pytest.raises(ValueError, match="stale SPDOnline "):
                 SPDOnline.restore(pickle.dumps((kind, state)))
 
