@@ -31,10 +31,12 @@ echo "   by a direct join against Johnson's algorithm; the prefix-walk"
 echo "   differential: tests/test_prefix_walk.py, offline phase 2's"
 echo "   prefix-closure walk against Algorithm 2's plain walk; and the"
 echo "   per-thread check differential: tests/test_prefix_seed.py,"
-echo "   SPDOnline/SPDOnlineK deciding each queued entry by P[new] or one"
-echo "   joint fix-point against a persistent closure per context, fed by"
-echo "   step(), run() and checkpoint/restore cuts (plus the wide-stream"
-echo "   heap ceiling in tests/test_spd_online.py); the mixed-source"
+echo "   SPDOnline/SPDOnlineK (K = 3, 4) deciding each queued entry by"
+echo "   P[new] or one joint fix-point against a persistent closure per"
+echo "   context, the K-context oracle included, fed by step(), run() and"
+echo "   checkpoint/restore cuts (plus the wide-stream heap ceilings in"
+echo "   tests/test_spd_online.py and, for K-contexts, in"
+echo "   tests/test_spd_online_k.py); the mixed-source"
 echo "   differential:"
 echo "   tests/test_mixed_feed.py, SPDOnline/SPDOnlineK/FastTrack fed by a"
 echo "   session, step() and a second compiled trace at once against every"
@@ -105,7 +107,7 @@ case "${REPRO_FUZZ_ITERS:-0}" in
     0)
         : ;;
     *)
-        echo "== streaming + prefix-walk + per-thread check (prefix-seed) + mixed-feed fuzz loops + seeded detector fault sweeps (REPRO_FUZZ_ITERS=${REPRO_FUZZ_ITERS}) =="
+        echo "== streaming + prefix-walk + per-thread check (prefix-seed, with its K-context loop) + mixed-feed fuzz loops + seeded detector fault sweeps (REPRO_FUZZ_ITERS=${REPRO_FUZZ_ITERS}) =="
         python -m pytest -q -m fuzz tests/test_stream.py tests/test_chaos.py \
             tests/test_prefix_walk.py tests/test_prefix_seed.py \
             tests/test_mixed_feed.py ;;

@@ -130,16 +130,6 @@ def cycle_is_abstract_pattern(nodes: List[AbstractAcquireIds]) -> bool:
     return True
 
 
-def enumerate_alg_cycles(
-    graph: DiGraph,
-    max_length: Optional[int] = None,
-    max_cycles: Optional[int] = None,
-) -> Iterator[List[AbstractAcquire]]:
-    """Simple cycles of ALG as lists of abstract acquires."""
-    for idx_cycle in simple_cycles(graph, max_length=max_length, max_cycles=max_cycles):
-        yield [graph.node_at(i) for i in idx_cycle]
-
-
 def abstract_deadlock_patterns(
     trace: Trace,
     max_size: Optional[int] = None,

@@ -24,7 +24,8 @@ decides most instantiations with one epoch test
 (:mod:`repro.core.spd_offline`); SPDOnline reads ``P[new]`` off its
 thread's prefix closure at each check, and computes the rare joint
 fix-point on a transient :meth:`SPClosure.clone` of it
-(:mod:`repro.core.spd_online`).
+(:mod:`repro.core.spd_online`); SPDOnlineK's checks of larger patterns
+walk on such a clone too (:mod:`repro.core.spd_online_k`).
 
 Only the *per-thread last* acquire inside the closure matters: earlier
 acquires of the same thread on the same lock release the lock before
@@ -83,8 +84,8 @@ class SPClosure:
         """An independent closure over the same history, in this one's
         state: clock, cursor rows, log cursor and dirty locks are
         copied, so advancing either closure leaves the other untouched
-        (SPDOnline's joint fix-points start from a clone of a prefix
-        closure)."""
+        (the online detectors' joint fix-points start from a clone of a
+        prefix closure)."""
         out = SPClosure.__new__(SPClosure)
         out._hist = self._hist
         out._by_lock = {lid: row[:] for lid, row in self._by_lock.items()}

@@ -209,13 +209,6 @@ class SPDOnline(DetectorFeed):
         prefix closure, dropped when the check's walk ends."""
         return prefix.clone()
 
-    def _closure_from(self, values: List[int]) -> SPClosure:
-        """A closure rebuilt from a canonical clock (see
-        :meth:`SPClosure.canonical_clock`)."""
-        closure = SPClosure(self.histories)
-        closure.seed_values(values)
-        return closure
-
     # -- bookkeeping -------------------------------------------------------
 
     def _grow(self) -> None:
@@ -278,8 +271,12 @@ class SPDOnline(DetectorFeed):
         if self._next_evict is not None and self._events_seen >= self._next_evict:
             self._evict_stale()
 
-    def _handle_acquire(self, tid: int, lid: int, loc: Optional[str],
-                        clock: VectorClock) -> None:
+    def _handle_acquire(
+        self, tid: int, lid: int, loc: Optional[str], clock: VectorClock
+    ) -> Optional[Tuple[CSRecord, Optional[SPClosure]]]:
+        """Run an acquire's size-2 checks; a guarded one returns its
+        queued record and ``P[new]`` if a check computed it (for
+        SPDOnlineK's checks), an unguarded one ``None``."""
         idx = self._events_seen
         c_pred = clock.snapshot()
         clock.tick(tid)
@@ -294,7 +291,7 @@ class SPDOnline(DetectorFeed):
         held = self._held[tid]
         if not held:
             held.append(lid)
-            return
+            return None
         held_before = held[:]
         held.append(lid)
 
@@ -332,6 +329,7 @@ class SPDOnline(DetectorFeed):
                 if cursor < len(queue):
                     prefix = self._check_deadlock(queue, cursor, prefix,
                                                   opp_ctx, rec)
+        return rec, prefix
 
     def _check_deadlock(self, queue: List[CSRecord], cursor: int,
                         prefix: Optional[SPClosure], ctx: _Ctx,
@@ -481,8 +479,11 @@ class SPDOnline(DetectorFeed):
         out.__dict__.update(state)
         out._maps = None
         # Prefix closures checkpoint as canonical clocks; rebuild them.
-        out._prefixes = {tid: out._closure_from(values)
-                         for tid, values in out._prefixes.items()}
+        prefixes = {}
+        for tid, values in out._prefixes.items():
+            closure = prefixes[tid] = SPClosure(out.histories)
+            closure.seed_values(values)
+        out._prefixes = prefixes
         out._restore_extra()
         return out
 
@@ -568,9 +569,10 @@ def spd_online(trace) -> SPDOnlineResult:
 # Same patch-on-enable scheme as repro.core.closure: the disabled path
 # carries no telemetry code.  ``online.feed`` spans each feed_batch;
 # ``online.prefix`` counts prefix-closure computes (at most one per
-# acquire, only for an entry outside ``c_pred``) and ``online.joint``
-# the joint fix-points started (one per checked context whose walk
-# ``P[new]`` does not decide).
+# acquire, only for an entry outside ``c_pred`` or for SPDOnlineK's
+# first K-context compute) and ``online.joint`` the joint fix-points
+# started (one per checked size-2 context whose walk ``P[new]`` does
+# not decide, and one per SPDOnlineK K-context check that computes).
 
 
 def _obs_install():

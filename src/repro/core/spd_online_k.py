@@ -13,8 +13,7 @@ This module is that extension:
 - each context runs the Algorithm 2 pointer walk **with the newest
   event pinned**: when an acquire of signature s arrives, every
   context containing s tries to complete an instantiation from its
-  per-coordinate queues, reusing its closure clock monotonically
-  (Proposition 4.4) and discarding swallowed entries forever
+  per-coordinate queues, discarding swallowed entries forever
   (Corollary 4.5);
 - every instantiation is eventually examined with its trace-last
   acquire pinned, so the detector reports an abstract pattern iff
@@ -22,12 +21,32 @@ This module is that extension:
   on random traces.
 
 Signatures are interned-id tuples ``(tid, lid, frozenset(lids))``;
-reports translate back to names.  Closure membership checks use the
-same O(1) epoch comparisons as the parent.  Size-2 contexts are the
-parent's: each keeps only a queue cursor, and its checks read the
-per-thread prefix closures.  A K-context (size ≥ 3) keeps its own
-persistent :class:`~repro.core.closure.SPClosure`, started fresh, since
-its seeds join the predecessors of acquires on several threads.
+reports translate back to names.  Size-2 contexts are the parent's.
+Closure state lives per thread for every size: a K-context (size ≥ 3)
+is its signatures, per-coordinate queue cursors and reported flag, and
+a check walks on a transient clone of ``P[new]``, the pinned acquire's
+prefix closure (shared with its size-2 checks), computed with the
+other coordinates' candidates' predecessor clocks.
+
+Why the check is exact.  Algorithm 4's persistent closure per context
+takes, at a check pinning ``new`` at coordinate ``p``, ``c_pred(new)``
+and then each candidate's predecessor clock as seeds.  A check here
+first moves ``p``'s cursor to ``new``, the last entry of its queue (the
+pin rule): every earlier entry there is an earlier acquire of
+``new``'s thread, inside ``c_pred(new)``.  So every seed the persistent
+closure ever took lies below
+``S = c_pred(new) ⊔ ⨆_{j≠p} pred(queue_j[cursor_j])``: earlier pins,
+earlier candidates and ``c_pred``s joined before an early return all
+sit at or before a cursor, in one thread's queue, along which
+predecessor clocks only grow; and every term of ``S`` is such a seed.
+The closure is extensive, monotone and idempotent, and it reaches
+history appended since its last compute through slot growth (see
+:mod:`repro.core.spd_online`), so the persistent closure is
+``SPClosure(S)``, the clock the clone computes: the cursors stop at the
+same entries and the reports match (``tests/test_prefix_seed.py``
+keeps persistent closures as its oracle).  The walk has no epoch
+prefilter: a cursor moved without a compute could leave the cursors
+different from the persistent closure's.
 
 Worst-case time adds the cycle-enumeration factor that Theorem 3.1
 says is unavoidable; with the signature count small (as in practice),
@@ -39,7 +58,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.closure import SPClosure
 from repro.core.spd_online import SPDOnline, _location
 from repro.locks.history import CSRecord
 from repro.vc.clock import VectorClock
@@ -69,12 +87,11 @@ class OnlineKReport:
 
 @dataclass
 class _Context:
-    """A live abstract deadlock pattern: its signature cycle, the
-    per-coordinate cursors, and the reusable closure."""
+    """A live abstract deadlock pattern: its signature cycle and the
+    per-coordinate queue cursors."""
 
     signatures: Tuple[Signature, ...]
     cursors: List[int]
-    closure: SPClosure
     reported: bool = False
 
 
@@ -99,9 +116,7 @@ class SPDOnlineK(SPDOnline):
         self.max_size = max_size
         # Incremental ALG over signatures.
         self._sigs: List[Signature] = []
-        self._sig_index: Dict[Signature, int] = {}
         self._succ: Dict[int, Set[int]] = {}
-        self._pred: Dict[int, Set[int]] = {}
         # Per-signature acquire queues (any-size analog of _acq_seq).
         self._sig_entries: Dict[Signature, List[CSRecord]] = {}
         # Live contexts, indexed by member signature.
@@ -113,33 +128,34 @@ class SPDOnlineK(SPDOnline):
 
     def _add_signature(self, sig: Signature) -> None:
         idx = len(self._sigs)
-        self._sig_index[sig] = idx
         self._sigs.append(sig)
         self._succ[idx] = set()
-        self._pred[idx] = set()
         t1, l1, held1 = sig
         for j, (t2, l2, held2) in enumerate(self._sigs[:-1]):
             # edge sig -> other: l1 ∈ held2, threads differ, held disjoint
             if t1 != t2 and l1 in held2 and not (held1 & held2):
                 self._succ[idx].add(j)
-                self._pred[j].add(idx)
             if t2 != t1 and l2 in held1 and not (held2 & held1):
                 self._succ[j].add(idx)
-                self._pred[idx].add(j)
         self._register_new_cycles(idx)
 
     def _register_new_cycles(self, start: int) -> None:
-        """Simple cycles through the new node, length 3..max_size."""
+        """Simple cycles through the new node, length 3..max_size, each
+        found once, as a path from the new node that an edge back to it
+        closes."""
+        succ = self._succ
         path = [start]
         on_path = {start}
 
         def dfs(node: int) -> None:
-            for nxt in self._succ[node]:
+            if len(path) == self.max_size:
+                if start in succ[node]:
+                    self._maybe_register(tuple(self._sigs[i] for i in path))
+                return
+            for nxt in succ[node]:
                 if nxt == start and len(path) >= 3:
                     self._maybe_register(tuple(self._sigs[i] for i in path))
-                elif nxt > start:
-                    continue  # canonical: only nodes older than start... (new node is max index)
-                elif nxt not in on_path and len(path) < self.max_size:
+                elif nxt not in on_path:
                     path.append(nxt)
                     on_path.add(nxt)
                     dfs(nxt)
@@ -158,11 +174,7 @@ class SPDOnlineK(SPDOnline):
             for j in range(i + 1, k):
                 if cycle[i][2] & cycle[j][2]:
                     return
-        ctx = _Context(
-            signatures=cycle,
-            cursors=[0] * k,
-            closure=SPClosure(self.histories),
-        )
+        ctx = _Context(signatures=cycle, cursors=[0] * k)
         self._contexts.append(ctx)
         for sig in cycle:
             self._contexts_of_sig.setdefault(sig, []).append(ctx)
@@ -170,62 +182,60 @@ class SPDOnlineK(SPDOnline):
     # -- event handling -------------------------------------------------------
 
     def _handle_acquire(self, tid: int, lid: int, loc: Optional[str],
-                        clock: VectorClock) -> None:
-        held_before = frozenset(self._held[tid])
-        super()._handle_acquire(tid, lid, loc, clock)
-        if not held_before or self.max_size < 3:
-            return
-        sig: Signature = (tid, lid, held_before)
+                        clock: VectorClock):
+        guarded = super()._handle_acquire(tid, lid, loc, clock)
+        if guarded is None or self.max_size < 3:
+            return guarded
+        rec, prefix = guarded
+        sig: Signature = (tid, lid, frozenset(self._held[tid][:-1]))
         entries = self._sig_entries.get(sig)
         if entries is None:
             self._sig_entries[sig] = entries = []
             self._add_signature(sig)
-        # The parent queued this acquire's record for size-2; queue the
-        # same record here.
-        last = self._acq_seq[(tid, lid, next(iter(held_before)))][-1]
-        entries.append(last)
+        entries.append(rec)   # the record queued for the size-2 checks
         for ctx in self._contexts_of_sig.get(sig, ()):
-            self._check_context(ctx, sig, last)
+            if not ctx.reported:
+                prefix = self._check_context(
+                    ctx, ctx.signatures.index(sig), rec, prefix)
+        return rec, prefix
 
-    def _check_context(self, ctx: _Context, sig: Signature,
-                       new_entry: CSRecord) -> None:
-        """Algorithm 2 with the newest event pinned at sig's coordinate."""
-        if ctx.reported:
-            return
-        pin = ctx.signatures.index(sig)
-        k = len(ctx.signatures)
-        ctx.closure.join_seed(new_entry.pred_ts)
+    def _check_context(self, ctx: _Context, pin: int, new: CSRecord,
+                       prefix):
+        """Algorithm 2 with ``new`` pinned at coordinate ``pin``, on a
+        clone of ``P[new]`` (``prefix``, computed here if still None,
+        and returned) made at its first compute (see the module
+        docstring)."""
+        sigs = ctx.signatures
+        cursors = ctx.cursors
+        queues = [self._sig_entries[s] for s in sigs]
+        cursors[pin] = len(queues[pin]) - 1   # the pin rule
+        joint = None
         while True:
-            candidate: List[Optional[CSRecord]] = [None] * k
-            candidate[pin] = new_entry
-            for j in range(k):
-                if j == pin:
-                    continue
-                queue = self._sig_entries.get(ctx.signatures[j], [])
-                if ctx.cursors[j] >= len(queue):
-                    return  # some coordinate has no candidate yet
-                candidate[j] = queue[ctx.cursors[j]]
-            seed = None
-            for entry in candidate:
-                if seed is None:
-                    seed = entry.pred_ts.copy()
-                else:
-                    seed.join_with(entry.pred_ts)
-            t_clock = ctx.closure.compute(seed)
+            candidate: List[CSRecord] = []
+            for queue, i in zip(queues, cursors):
+                if i >= len(queue):
+                    return prefix  # some coordinate has no candidate yet
+                candidate.append(queue[i])
+            seed = VectorClock(0)
+            seed.join_many(e.pred_ts for e in candidate if e is not new)
+            if joint is None:
+                if prefix is None:
+                    prefix = self._prefix_closure(new.slot, new.pred_ts)
+                joint = self._joint_closure(prefix)
+            t_clock = joint.compute(seed)
             swallowed = False
-            for j in range(k):
+            for j, queue in enumerate(queues):
                 if j == pin:
                     continue
-                queue = self._sig_entries.get(ctx.signatures[j], [])
-                i = ctx.cursors[j]
+                i = cursors[j]
                 # Epoch test for closure membership of each queued acquire.
                 while i < len(queue) and (
                     queue[i].acq_val <= t_clock.component(queue[i].slot)
                 ):
                     i += 1
-                if i != ctx.cursors[j]:
+                if i != cursors[j]:
                     swallowed = True
-                ctx.cursors[j] = i
+                cursors[j] = i
             if not swallowed:
                 if all(e.acq_val > t_clock.component(e.slot)
                        for e in candidate):
@@ -235,25 +245,21 @@ class SPDOnlineK(SPDOnline):
                             events=tuple(e.acq_idx for e in candidate),
                             locations=tuple(_location(e) for e in candidate),
                             signatures=tuple(
-                                self._named_signature(s) for s in ctx.signatures
+                                self._named_signature(s) for s in sigs
                             ),
                         )
                     )
-                return
+                return prefix
 
     # -- checkpoint / restore hooks ----------------------------------------
 
     def _checkpoint_extra(self, state: Dict) -> None:
-        """Serialize contexts as plain tuples (see SPDOnline.checkpoint).
-
-        A pickled :class:`_Context` would drag its closure's cursor rows
-        along; the canonical form — signatures, cursors, the closure's
-        canonical clock, the reported flag — rebuilds bit-identically.
-        """
+        """Serialize contexts as plain ``(signatures, cursors,
+        reported)`` tuples (see SPDOnline.checkpoint), so that a blob
+        does not name the class; the index by signature is rebuilt."""
         state.pop("_contexts_of_sig", None)
         state["_contexts"] = [
-            (ctx.signatures, list(ctx.cursors),
-             ctx.closure.canonical_clock(), ctx.reported)
+            (ctx.signatures, list(ctx.cursors), ctx.reported)
             for ctx in self._contexts
         ]
 
@@ -261,22 +267,24 @@ class SPDOnlineK(SPDOnline):
         contexts: List[_Context] = []
         index: Dict[Signature, List[_Context]] = {}
         for item in self._contexts:
-            if not isinstance(item, tuple):
+            if not isinstance(item, tuple) or len(item) != 3:
                 raise ValueError(
                     f"stale {type(self).__name__} checkpoint: its contexts "
-                    "are pickled objects, not the canonical (signatures, "
-                    "cursors, clock, reported) form; re-feed the stream "
-                    "instead"
+                    "are not in the (signatures, cursors, reported) form, "
+                    "without a closure; re-feed the stream instead"
                 )
-            signatures, cursors, clock_values, reported = item
+            signatures, cursors, reported = item
             ctx = _Context(signatures=signatures, cursors=cursors,
-                           closure=self._closure_from(clock_values),
                            reported=reported)
             contexts.append(ctx)
             for sig in signatures:
                 index.setdefault(sig, []).append(ctx)
         self._contexts = contexts
         self._contexts_of_sig = index
+        # Cycle search (so K report order) follows the successor sets'
+        # iteration order; refilled in ascending order, the order they
+        # were filled in, they iterate as before the pickle round trip.
+        self._succ = {i: set(sorted(succ)) for i, succ in self._succ.items()}
 
     def _named_signature(self, sig: Signature) -> NamedSignature:
         tid, lid, held = sig

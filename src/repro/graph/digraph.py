@@ -59,9 +59,6 @@ class DiGraph(Generic[N]):
     def node_at(self, idx: int) -> N:
         return self._nodes[idx]
 
-    def successors_idx(self, idx: int) -> Set[int]:
-        return self._succ[idx]
-
     def successors(self, node: N) -> List[N]:
         return [self._nodes[j] for j in self._succ[self._index[node]]]
 

@@ -74,12 +74,14 @@ def run_with_monitor(
     also predicts multi-thread cycles (e.g. dining philosophers)
     online; size-2 reports flow through either way.
     ``max_memory_events`` bounds tracked detector (and session) state
-    for long-running programs — sound, may miss (size 2 only).
+    for long-running programs — sound, may miss.  SPDOnline-K has no
+    bounded mode, so it raises ``ValueError`` when given both.
     """
     if max_deadlock_size > 2:
         from repro.core.spd_online_k import SPDOnlineK
 
-        detector = SPDOnlineK(max_size=max_deadlock_size)
+        detector = SPDOnlineK(max_size=max_deadlock_size,
+                              max_memory_events=max_memory_events)
     else:
         detector = SPDOnline(max_memory_events=max_memory_events)
     # Per-event flush: the detector sees each event the instant the

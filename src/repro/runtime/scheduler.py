@@ -58,9 +58,6 @@ class RandomScheduler:
     def pick(self, runnable: List[str], state: "_ExecState") -> str:
         return self.rng.choice(runnable)
 
-    def step_hook(self, state: "_ExecState") -> None:  # pragma: no cover
-        pass
-
 
 class BiasedScheduler(RandomScheduler):
     """Random scheduling with write-under-lock pausing.

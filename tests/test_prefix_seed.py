@@ -24,14 +24,22 @@ compares reports (pairs, contexts, locations) and ``stats()`` on
 each fed three ways: event by event through ``step()``, through
 ``run()`` over the compiled trace, and in ``feed_batch`` slices with a
 ``checkpoint()``/``restore()`` round trip at random cuts.  SPDOnlineK
-(K = 3), whose size-2 contexts are SPDOnline's, is compared the same
-way, its K reports included.
+(K = 3 and 4), whose size-2 contexts are SPDOnline's, is compared the
+same way, its K reports included.  Its K-contexts (size >= 3) keep no
+closure either: a check moves the pinned coordinate's cursor to the new
+acquire and walks on a transient clone of ``P[new]``
+(:mod:`repro.core.spd_online_k` argues that this is exact), while
+:class:`PerContextOnlineK` walks each on a persistent closure as
+before.  :class:`TestSeededK` adds longer, lock-denser traces fed
+through ``run()`` and checkpoint cuts, where the pinned coordinate's
+cursor most often lags behind the new acquire.
 
-The long fuzz loop is opt-in: ``REPRO_FUZZ_ITERS=2000 pytest -m fuzz
+The long fuzz loops are opt-in: ``REPRO_FUZZ_ITERS=2000 pytest -m fuzz
 tests/test_prefix_seed.py``.
 """
 
 import collections
+import functools
 import os
 import random
 
@@ -39,7 +47,7 @@ import pytest
 
 from repro.core.closure import SPClosure
 from repro.core.spd_online import OnlineReport, SPDOnline
-from repro.core.spd_online_k import SPDOnlineK
+from repro.core.spd_online_k import OnlineKReport, SPDOnlineK
 from repro.synth.random_traces import RandomTraceConfig, generate_random_trace
 from repro.trace.builder import TraceBuilder
 from repro.trace.parser import load_trace
@@ -87,7 +95,57 @@ class PerContextOnline(SPDOnline):
 
 
 class PerContextOnlineK(PerContextOnline, SPDOnlineK):
-    """SPDOnlineK whose size-2 contexts keep per-context closures."""
+    """SPDOnlineK whose contexts of every size keep a persistent
+    closure, started empty.  A K-context's closure takes the pinned
+    acquire's predecessor clock, then every candidate's at each compute
+    of the walk, as seeds; the pinned coordinate's cursor stays where
+    it is, since the persistent closure needs no pin rule."""
+
+    def _check_context(self, ctx, pin, new, prefix):
+        closure = self.context_closures.get(ctx.signatures)
+        if closure is None:
+            closure = self.context_closures[ctx.signatures] = \
+                SPClosure(self.histories)
+        k = len(ctx.signatures)
+        closure.join_seed(new.pred_ts)
+        while True:
+            candidate = [None] * k
+            candidate[pin] = new
+            for j in range(k):
+                if j == pin:
+                    continue
+                queue = self._sig_entries[ctx.signatures[j]]
+                if ctx.cursors[j] >= len(queue):
+                    return prefix
+                candidate[j] = queue[ctx.cursors[j]]
+            seed = candidate[0].pred_ts.copy()
+            for entry in candidate[1:]:
+                seed.join_with(entry.pred_ts)
+            t_clock = closure.compute(seed)
+            swallowed = False
+            for j in range(k):
+                if j == pin:
+                    continue
+                queue = self._sig_entries[ctx.signatures[j]]
+                i = ctx.cursors[j]
+                while i < len(queue) and (
+                        queue[i].acq_val <= t_clock.component(queue[i].slot)):
+                    i += 1
+                if i != ctx.cursors[j]:
+                    swallowed = True
+                ctx.cursors[j] = i
+            if not swallowed:
+                if all(e.acq_val > t_clock.component(e.slot)
+                       for e in candidate):
+                    ctx.reported = True
+                    self.k_reports.append(OnlineKReport(
+                        events=tuple(e.acq_idx for e in candidate),
+                        locations=tuple(
+                            e.loc if e.loc is not None else f"@{e.acq_idx}"
+                            for e in candidate),
+                        signatures=tuple(self._named_signature(s)
+                                         for s in ctx.signatures)))
+                return prefix
 
 
 class Counted:
@@ -131,7 +189,10 @@ class TalliedOnline(SPDOnline):
 #: (detector, its per-context oracle), each built with no arguments
 DETECTORS = (
     (SPDOnline, PerContextOnline),
-    (lambda: SPDOnlineK(max_size=3), lambda: PerContextOnlineK(max_size=3)),
+    (functools.partial(SPDOnlineK, max_size=3),
+     functools.partial(PerContextOnlineK, max_size=3)),
+    (functools.partial(SPDOnlineK, max_size=4),
+     functools.partial(PerContextOnlineK, max_size=4)),
 )
 
 
@@ -176,11 +237,15 @@ def resumed(make, comp, rng):
 def compare(trace, seed=0):
     """Assert that each feeding of each detector matches its oracle;
     return the SPDOnline run's (reports, checks decided by ``c_pred``,
-    by ``P[new]``, by a joint fix-point)."""
+    by ``P[new]``, by a joint fix-point) and the K reports at K = 3
+    and 4."""
     comp = as_trace(trace).compiled
     rng = random.Random(seed)
+    k_reports = 0
     for make, oracle in DETECTORS:
         want = sig(run(oracle, comp))
+        if len(want) > 2:
+            k_reports += len(want[2])
         for feed in ("run", "step", "resume"):
             if feed == "run":
                 det = run(make, comp)
@@ -194,7 +259,7 @@ def compare(trace, seed=0):
     assert sig(det)[0] == sig(run(SPDOnline, comp))[0]
     prefix, joint = det.tally["prefix"], det.tally["joint"]
     return (len(det.reports), det.stats()["deadlock_checks"] - prefix,
-            prefix - joint, joint)
+            prefix - joint, joint, k_reports)
 
 
 #: (threads, locks) of the seeded traces, narrow to wide
@@ -222,6 +287,43 @@ def check_seed(seed):
     return compare(generate_random_trace(seeded_config(seed)), seed)
 
 
+def k_config(seed):
+    """Longer, lock-denser traces for the K-contexts: 600-1,400 events,
+    3-6 threads x 3-8 locks, nesting 2-4, fork/join on every third
+    seed."""
+    rng = random.Random(seed)
+    return RandomTraceConfig(
+        num_threads=rng.randint(3, 6),
+        num_locks=rng.randint(3, 8),
+        num_vars=rng.randint(1, 8),
+        num_events=rng.randrange(600, 1401, 100),
+        max_nesting=rng.randint(2, 4),
+        acquire_prob=rng.choice((0.3, 0.35, 0.4)),
+        release_prob=0.3,
+        write_prob=rng.choice((0.3, 0.4, 0.5)),
+        fork_join=seed % 3 == 0,
+        seed=seed,
+    )
+
+
+def check_k_seed(seed):
+    """Assert that SPDOnlineK at K = 3 and 4, fed by ``run()`` and with
+    checkpoint/restore cuts, matches its oracle on ``k_config(seed)``;
+    return the K reports."""
+    comp = as_trace(generate_random_trace(k_config(seed))).compiled
+    rng = random.Random(seed)
+    k_reports = 0
+    for size in (3, 4):
+        want = sig(run(functools.partial(PerContextOnlineK, max_size=size),
+                       comp))
+        make = functools.partial(SPDOnlineK, max_size=size)
+        for feed, det in (("run", run(make, comp)),
+                          ("resume", resumed(make, comp, rng))):
+            assert sig(det) == want, (comp.name, seed, size, feed)
+        k_reports += len(want[2])
+    return k_reports
+
+
 class TestCorpus:
     @pytest.mark.parametrize("name", CORPUS_TRACES)
     def test_online(self, name):
@@ -239,7 +341,7 @@ class TestHandCases:
                  .rel("u", "n").rel("u", "m")
                  .acq("t", "n").acq("t", "m").rel("t", "m").rel("t", "n")
                  .build())
-        assert compare(trace) == (1, 0, 0, 1)
+        assert compare(trace) == (1, 0, 0, 1, 0)
 
 
 class TestSeeded:
@@ -249,14 +351,14 @@ class TestSeeded:
             check_seed(seed)
 
     def test_not_vacuous(self):
-        """Over the first 28 seeds (each shape four times) reports exist,
-        and ``c_pred``, ``P[new]`` and the joint fix-points each decided
-        checks."""
-        totals = [0, 0, 0, 0]
+        """Over the first 28 seeds (each shape four times) reports and K
+        reports exist, and ``c_pred``, ``P[new]`` and the joint
+        fix-points each decided checks."""
+        totals = [0, 0, 0, 0, 0]
         for seed in range(28):
             totals = [a + b for a, b in zip(totals, check_seed(seed))]
-        reports, by_cpred, by_prefix, by_joint = totals
-        assert reports > 50
+        reports, by_cpred, by_prefix, by_joint, k_reports = totals
+        assert reports > 50 and k_reports > 0
         assert by_cpred > 0 and by_prefix > 0 and by_joint > 0
 
     @pytest.mark.fuzz
@@ -267,3 +369,24 @@ class TestSeeded:
             pytest.skip("set REPRO_FUZZ_ITERS to run the long fuzz loop")
         for seed in range(400, 400 + iters):
             check_seed(seed)
+
+
+class TestSeededK:
+    """The K-contexts on :func:`k_config` traces, where a check pins an
+    acquire whose queue holds earlier entries past the cursor far more
+    often than on the short seeded traces."""
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_seeded_traces(self, chunk):
+        """Every chunk of eight seeds makes K reports."""
+        seeds = range(chunk * 8, chunk * 8 + 8)
+        assert sum(check_k_seed(seed) for seed in seeds) > 0
+
+    @pytest.mark.fuzz
+    def test_fuzz_long_loop(self):
+        """Nightly-style loop: REPRO_FUZZ_ITERS=N pytest -m fuzz ..."""
+        iters = int(os.environ.get("REPRO_FUZZ_ITERS", "0"))
+        if iters <= 0:
+            pytest.skip("set REPRO_FUZZ_ITERS to run the long fuzz loop")
+        for seed in range(32, 32 + iters):
+            check_k_seed(seed)

@@ -124,6 +124,14 @@ class TestMonitor:
         runs = monitored_campaign(transfer_program("T"), runs=30, seed=0)
         assert sum(m.num_hits for m in runs) > 0
 
+    def test_memory_bound_refused_for_larger_cycles(self):
+        """SPDOnline-K has no bounded-memory mode: a memory bound with
+        ``max_deadlock_size > 2`` is refused, not dropped while the
+        session alone stays bounded."""
+        with pytest.raises(ValueError, match="bounded-memory"):
+            run_with_monitor(dining_program("D", 3), RandomScheduler(0),
+                             max_deadlock_size=3, max_memory_events=64)
+
 
 class TestDeadlockFuzzer:
     def test_confirms_simple_deadlock(self):

@@ -1,5 +1,7 @@
 """SPDOnline-K: streaming any-size deadlock detection (extension)."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from repro.synth.paper import sigma2, sigma3
 from repro.synth.random_traces import RandomTraceConfig, generate_random_trace
 from repro.synth.templates import dining_philosophers_trace
 from repro.trace.builder import TraceBuilder
+from repro.trace.compiled import compile_trace
 
 
 class TestSizeTwoUnchanged:
@@ -132,3 +135,31 @@ class TestAgainstOffline:
             assert oracle.is_predictable_deadlock(rep.events), (
                 trace.name, rep.events,
             )
+
+
+class TestScalability:
+    def test_wide_stream_heap_ceiling(self):
+        """K-contexts keep only cursors and each check computes on a
+        transient clone of the pinned acquire's prefix closure, so an
+        exact K = 3 run over a 2k-event 8-thread x 12-lock stream (4,931
+        K-contexts) peaks at about 2.6 MB of traced allocations (keeping a
+        persistent closure per K-context peaked at 22 MB).  Allocation
+        sizes do not depend on the machine's speed or load, so the
+        ceiling is asserted as is."""
+        comp = compile_trace(generate_random_trace(RandomTraceConfig(
+            num_threads=8, num_locks=12, num_vars=16, num_events=2000,
+            acquire_prob=0.35, max_nesting=3, seed=7)))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            det = SPDOnlineK(max_size=3)
+            det.run(comp)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(det._contexts) > 4000 and len(det.k_reports) > 40
+        assert peak < 8_000_000, f"peak {peak / 1e6:.1f} MB"

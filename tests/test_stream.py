@@ -517,8 +517,8 @@ class TestCheckpointRestore:
             "max_memory_events", "names", "reports",
         }
         history_keys = {"records", "log", "log_base", "evicted"}
-        k_keys = keys | {"_contexts", "_pred", "_sig_entries", "_sig_index",
-                         "_sigs", "_succ", "k_reports", "max_size"}
+        k_keys = keys | {"_contexts", "_sig_entries", "_sigs", "_succ",
+                         "k_reports", "max_size"}
         compiled = as_trace(generate_random_trace(RandomTraceConfig(
             num_threads=5, num_locks=4, num_events=600, max_nesting=3,
             acquire_prob=0.3, release_prob=0.3, seed=3))).compiled
@@ -539,6 +539,35 @@ class TestCheckpointRestore:
                 for tid, records, _ in out.histories.by_lock[lid]:
                     assert records is out.histories.records[(tid, lid)]
 
+    def test_restore_keeps_cycle_search_order(self):
+        """SPDOnlineK registers contexts, and so fires K reports, in the
+        iteration order of its successor sets, which a plain pickle
+        round trip does not keep.  A restored detector iterates them as
+        the live one does, and a run resumed from a blob reports in the
+        order of an uninterrupted run."""
+        import pickle
+
+        compiled = as_trace(generate_random_trace(RandomTraceConfig(
+            num_threads=16, num_locks=24, num_vars=4, num_events=500,
+            max_nesting=3, acquire_prob=0.35, release_prob=0.3,
+            seed=3))).compiled
+        straight = SPDOnlineK(max_size=4)
+        straight.run(compiled)
+        succ = straight._succ
+        assert any(list(pickle.loads(pickle.dumps(s))) != list(s)
+                   for s in succ.values())
+        restored = SPDOnlineK.restore(straight.checkpoint())
+        assert [list(s) for s in restored._succ.values()] == \
+            [list(s) for s in succ.values()]
+        n = len(compiled)
+        det = SPDOnlineK(max_size=4)
+        det.feed_batch(compiled, 0, n // 4)
+        det = SPDOnlineK.restore(det.checkpoint())
+        det.feed_batch(compiled, n // 4, n)
+        assert len(straight.k_reports) > 5
+        assert [r.events for r in det.k_reports] == \
+            [r.events for r in straight.k_reports]
+
     def test_restore_rejects_other_detector_kind(self):
         det = SPDOnlineK(max_size=3)
         blob = det.checkpoint()
@@ -549,9 +578,11 @@ class TestCheckpointRestore:
     def test_restore_rejects_stale_blobs(self, monkeypatch):
         """Blobs that keep a closure per size-2 context (the layout
         before closures were kept per thread), that pickled K-context
-        objects (the format before canonical clocks), or that keep the
-        critical-section history in flat detector fields (the layout
-        before ``CSHistories``), are refused as stale, not rebound."""
+        objects (the format before canonical clocks), that keep a
+        closure clock per K-context (the layout before K-contexts kept
+        only cursors), or that keep the critical-section history in flat
+        detector fields (the layout before ``CSHistories``), are refused
+        as stale, not rebound."""
         import importlib
         import pickle
 
@@ -615,6 +646,14 @@ class TestCheckpointRestore:
             kind, state = pickle.loads(det.checkpoint())
             assert state["_contexts"]
             state["_contexts"] = list(det._contexts)
+            with pytest.raises(ValueError, match="stale SPDOnlineK "):
+                SPDOnlineK.restore(pickle.dumps((kind, state)))
+
+            # The clocked form: (signatures, cursors, clock, reported).
+            kind, state = pickle.loads(det.checkpoint())
+            state["_contexts"] = [
+                (signatures, cursors, [0] * len(det._clocks), reported)
+                for signatures, cursors, reported in state["_contexts"]]
             with pytest.raises(ValueError, match="stale SPDOnlineK "):
                 SPDOnlineK.restore(pickle.dumps((kind, state)))
 
